@@ -141,10 +141,7 @@ BENCHMARK(BM_EndToEndSim)
 /// The `_paper` rows run fmm and ocean at the paper's Table 2 problem sizes
 /// in full detail, each paired with a `/sampled` row that replays the same
 /// run from a warm-state checkpoint with one detailed tail interval — the
-/// tracked speedup of interval sampling (docs/PERFORMANCE.md). The `/parN`
-/// rows and the `par_scaling` pair track the cluster-parallel engine
-/// (single-worker overhead and multi-core speedup), and `/par4/sampled`
-/// tracks the sampling x parallel composition.
+/// tracked speedup of interval sampling (docs/PERFORMANCE.md).
 int json_main(const std::string& path, unsigned repeat) {
   using clock = std::chrono::steady_clock;
   constexpr double min_seconds = 1.0;
@@ -274,73 +271,8 @@ int json_main(const std::string& path, unsigned repeat) {
       return r.totals.reads + r.totals.writes;
     });
   }
-  // Cluster-parallel engine rows: the tracked ocean paper-scale ppc8
-  // configuration under the conservative window scheduler at 1 and 4
-  // workers (docs/PERFORMANCE.md "Cluster-parallel execution"). The
-  // worker-count axis only pays off on multi-core hosts — run_parallel
-  // clamps workers to hardware_concurrency, so the par4 row degrades to
-  // the par1 row on a single-core runner instead of spin-thrashing it.
-  std::uint64_t par_total = 0;
-  for (const unsigned workers : {1u, 4u}) {
-    const MachineSpec par_cfg = MachineSpecBuilder{}
-                                    .procs(64)
-                                    .procs_per_cluster(8)
-                                    .style(ClusterStyle::SharedCache)
-                                    .cache_kb(16)
-                                    .parallel_workers(workers)
-                                    .build();
-    const std::string name =
-        "end_to_end/shared_cache/ppc8/ocean_paper/par" + std::to_string(workers);
-    measure(name.c_str(), [&] {
-      auto app = make_app("ocean", ProblemScale::Paper);
-      const SimResult r = simulate(*app, par_cfg);
-      par_total = r.totals.reads + r.totals.writes;
-      return par_total;
-    });
-  }
-
-  // Sampling x parallel: the composed row — sharded functional warming with
-  // a warm-state checkpoint (the warm digest is keyed separately from the
-  // sequential rows' checkpoints), one detailed tail interval, 4 workers.
-  {
-    const MachineSpec par_sampled =
-        MachineSpecBuilder{}
-            .procs(64)
-            .procs_per_cluster(8)
-            .style(ClusterStyle::SharedCache)
-            .cache_kb(16)
-            .parallel_workers(4)
-            .sample(par_total - par_total / 128, 16384, 0)
-            .warm_quantum(Cycles{1} << 18)
-            .checkpoint_dir(ckpt_dir.string())
-            .build();
-    measure("end_to_end/shared_cache/ppc8/ocean_paper/par4/sampled", [&] {
-      auto app = make_app("ocean", ProblemScale::Paper);
-      const SimResult r = simulate(*app, par_sampled);
-      return r.totals.reads + r.totals.writes;
-    });
-  }
   fs::remove_all(ckpt_dir, ec);
 
-  // par_scaling pair: the multi-core speedup tracker. ppc 4 gives the
-  // window scheduler 16 clusters to spread over 4 workers (the ppc8 rows
-  // above leave only 8); tests/obs/par_scaling_test.cpp asserts the live
-  // ratio on capable hosts, this pair records it in the baseline.
-  for (const unsigned workers : {1u, 4u}) {
-    const MachineSpec scal_cfg = MachineSpecBuilder{}
-                                     .procs(64)
-                                     .procs_per_cluster(4)
-                                     .style(ClusterStyle::SharedCache)
-                                     .cache_kb(16)
-                                     .parallel_workers(workers)
-                                     .build();
-    const std::string name = "par_scaling/par" + std::to_string(workers);
-    measure(name.c_str(), [&] {
-      auto app = make_app("ocean", ProblemScale::Paper);
-      const SimResult r = simulate(*app, scal_cfg);
-      return r.totals.reads + r.totals.writes;
-    });
-  }
   bench::write_perf_json(
       path, "end-to-end simulation throughput (64 procs, 16 KB caches; "
             "test scale, plus paper-scale full/sampled pairs)", rows);

@@ -60,16 +60,7 @@ void Mp3dApp::setup(AddressSpace& as, const MachineSpec& mc) {
     q.vz = 0.03 * rng.uniform(-1.0, 1.0);
   }
   ncells_ = d * d * d;
-  shards_ = mc.parallel.enabled() ? mc.num_clusters() : 1;
-  cells_.assign(std::size_t{ncells_} * shards_, Cell{});
-  if (shards_ > 1) {
-    // A zero-initialized reservoir means "particle 0", which cluster 0
-    // owns — a cross-shard leak on a fresh cell. Sharded runs start with
-    // no reservoir instead (the `other < parts_.size()` guard skips the
-    // exchange); the single-shard path keeps the legacy sentinel so
-    // sequential digests are unchanged.
-    for (auto& cell : cells_) cell.reservoir = kNoReservoir;
-  }
+  cells_.assign(ncells_, Cell{});
 
   part_base_ = as.alloc(cfg_.particles * kParticleBytes, "mp3d.particles");
   cell_base_ = as.alloc(Addr{ncells_} * kCellBytes, "mp3d.cells");
@@ -85,12 +76,6 @@ void Mp3dApp::setup(AddressSpace& as, const MachineSpec& mc) {
 
 SimTask Mp3dApp::body(Proc& p) {
   const BlockRange mine = block_partition(cfg_.particles, nprocs_, p.id());
-  // Sequential runs share one cell shard; parallel runs give each cluster
-  // its own (see the cells_ comment in the header). The reservoir partner
-  // is then always a particle owned by this cluster, so every host-side
-  // access below stays inside the partition that this coroutine runs on.
-  Cell* const cells =
-      cells_.data() + std::size_t{shards_ == 1 ? 0 : p.cluster()} * ncells_;
 
   for (unsigned step = 0; step < cfg_.steps; ++step) {
     for (std::size_t i = mine.begin; i < mine.end; ++i) {
@@ -111,7 +96,7 @@ SimTask Mp3dApp::body(Proc& p) {
       bounce(q.z, q.vz);
 
       const unsigned c = cell_of(q);
-      Cell& cell = cells[c];
+      Cell& cell = cells_[c];
       ++cell.count;
       cell.momentum += std::abs(q.vx) + std::abs(q.vy) + std::abs(q.vz);
 
@@ -119,10 +104,10 @@ SimTask Mp3dApp::body(Proc& p) {
       // cell's reservoir particle (the last particle that visited).
       const std::uint32_t other = cell.reservoir;
       cell.reservoir = static_cast<std::uint32_t>(i);
-      if (other != static_cast<std::uint32_t>(i) && other < parts_.size()) {
+      if (other != static_cast<std::uint32_t>(i)) {
         std::swap(parts_[other].vy, q.vy);
       }
-      total_moves_.fetch_add(1, std::memory_order_relaxed);
+      ++total_moves_;
 
       // References: read+write my particle record, read+write the shared
       // space cell, read+write the reservoir partner's record — one run
@@ -133,7 +118,7 @@ SimTask Mp3dApp::body(Proc& p) {
       ops[cnt++] = Proc::RunOp::compute(cfg_.move_cycles);
       ops[cnt++] = Proc::RunOp::read(cell_addr(c));
       ops[cnt++] = Proc::RunOp::write(cell_addr(c));
-      if (other != static_cast<std::uint32_t>(i) && other < parts_.size()) {
+      if (other != static_cast<std::uint32_t>(i)) {
         ops[cnt++] = Proc::RunOp::read(particle_addr(other));
         ops[cnt++] = Proc::RunOp::write(particle_addr(other));
       }
@@ -145,7 +130,7 @@ SimTask Mp3dApp::body(Proc& p) {
 }
 
 void Mp3dApp::verify() const {
-  const std::uint64_t moves = total_moves_.load(std::memory_order_relaxed);
+  const std::uint64_t moves = total_moves_;
   if (moves != static_cast<std::uint64_t>(cfg_.particles) * cfg_.steps) {
     throw std::runtime_error("MP3D verification failed: move count mismatch");
   }
@@ -154,7 +139,7 @@ void Mp3dApp::verify() const {
       throw std::runtime_error("MP3D verification failed: particle escaped");
     }
   }
-  // Visits conserve across shards: every move lands in exactly one shard.
+  // Visits conserve: every move lands in exactly one cell.
   std::uint64_t visits = 0;
   for (const auto& c : cells_) visits += c.count;
   if (visits != moves) {

@@ -13,7 +13,6 @@
 // checks particle conservation and that every particle stayed in bounds.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -65,25 +64,15 @@ class Mp3dApp final : public Program {
 
   static constexpr Addr kParticleBytes = 48;  // pos + vel, 6 doubles
   static constexpr Addr kCellBytes = 48;
-  /// Reservoir value meaning "no particle yet" (sharded runs only; the
-  /// `other < parts_.size()` guard in body() rejects it).
-  static constexpr std::uint32_t kNoReservoir = 0xffff'ffffu;
 
   Mp3dConfig cfg_;
   unsigned nprocs_ = 0;
   std::vector<Particle> parts_;
-  /// Host-side cell statistics. Sequential runs use one shard (the paper's
-  /// lockless shared cells). Under cluster-parallel execution clusters run
-  /// truly concurrently, so each cluster gets its own shard: the *simulated*
-  /// cell addresses stay shared (the coherence traffic that makes MP3D the
-  /// communication stress test is unchanged), but the host-side counters and
-  /// the collision reservoir become cluster-local, keeping results
-  /// bit-identical at every worker count. Laid out shard-major.
+  /// Host-side cell statistics (the paper's lockless shared cells).
   std::vector<Cell> cells_;
   unsigned ncells_ = 0;
-  unsigned shards_ = 1;
   Addr part_base_ = 0, cell_base_ = 0;
-  std::atomic<std::uint64_t> total_moves_{0};
+  std::uint64_t total_moves_ = 0;
   std::unique_ptr<Barrier> bar_;
 };
 

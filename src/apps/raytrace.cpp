@@ -193,7 +193,7 @@ SimTask RaytraceApp::trace_ray(Proc& p, Vec3 org, Vec3 dir, unsigned bounce,
       }
     }
     if (best >= 0 && best_t <= t_exit + cell) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      ++hits_;
       const Sphere& sp = spheres_[static_cast<std::size_t>(best)];
       const Vec3 hitp = org + dir * best_t;
       const Vec3 n = normalize(hitp - sp.c);

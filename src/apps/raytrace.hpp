@@ -13,7 +13,6 @@
 // and that rays actually hit geometry.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -50,7 +49,7 @@ class RaytraceApp final : public Program {
   /// FNV-1a hash of the rendered image (deterministic identity).
   [[nodiscard]] std::uint64_t image_checksum() const;
   [[nodiscard]] std::uint64_t hit_count() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
+    return hits_;
   }
 
  private:
@@ -89,10 +88,8 @@ class RaytraceApp final : public Program {
   std::vector<std::vector<int>> voxels_;  ///< sphere indices per voxel
   std::vector<float> image_;
   Addr sphere_base_ = 0, voxel_base_ = 0, image_base_ = 0;
-  /// Shading-hit count; rays from different clusters run concurrently
-  /// under --par, and the sum is order-independent, so a relaxed atomic
-  /// keeps it exact.
-  std::atomic<std::uint64_t> hits_{0};
+  /// Shading-hit count.
+  std::uint64_t hits_ = 0;
   std::unique_ptr<Barrier> bar_;
 };
 

@@ -165,7 +165,7 @@ SimTask VolrendApp::cast_ray(Proc& p, unsigned px, unsigned py, double shear) {
       ni = static_cast<std::size_t>(tab[static_cast<std::size_t>(o)]);
     }
     if (oct_[ni].max_density < cfg_.density_cut) {
-      skipped_blocks_.fetch_add(1, std::memory_order_relaxed);
+      ++skipped_blocks_;
       continue;  // empty-space skip: no voxel references at all
     }
     // Sample the voxels of this block along z. Host math first — the
@@ -176,13 +176,13 @@ SimTask VolrendApp::cast_ray(Proc& p, unsigned px, unsigned py, double shear) {
     unsigned zstop = z1;
     for (unsigned z = z0; z < z1; ++z) {
       const double d = density(vx, vy_at(z), z);
-      samples_.fetch_add(1, std::memory_order_relaxed);
+      ++samples_;
       if (d < cfg_.density_cut) continue;
       const double a = std::min(1.0, (d - cfg_.density_cut) * 4.0) * 0.5;
       color += (1.0 - alpha) * a * d;
       alpha += (1.0 - alpha) * a;
       if (alpha >= cfg_.term_opacity) {
-        early_terms_.fetch_add(1, std::memory_order_relaxed);
+        ++early_terms_;
         zstop = z + 1;
         break;
       }

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -50,13 +49,13 @@ class VolrendApp final : public Program {
   [[nodiscard]] const VolrendConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] std::uint64_t image_checksum() const;
   [[nodiscard]] std::uint64_t early_terminations() const noexcept {
-    return early_terms_.load(std::memory_order_relaxed);
+    return early_terms_;
   }
   [[nodiscard]] std::uint64_t samples_taken() const noexcept {
-    return samples_.load(std::memory_order_relaxed);
+    return samples_;
   }
   [[nodiscard]] std::uint64_t blocks_skipped() const noexcept {
-    return skipped_blocks_.load(std::memory_order_relaxed);
+    return skipped_blocks_;
   }
 
  private:
@@ -96,10 +95,8 @@ class VolrendApp final : public Program {
   std::vector<std::array<int, 8>> children_;  ///< child tables for internals
   std::vector<float> image_;
   Addr vol_base_ = 0, oct_base_ = 0, image_base_ = 0;
-  /// Render statistics. Rays from different clusters run concurrently
-  /// under --par; the counts are order-independent sums, so relaxed
-  /// atomics keep them exact without ordering anything.
-  std::atomic<std::uint64_t> early_terms_{0}, samples_{0}, skipped_blocks_{0};
+  /// Render statistics.
+  std::uint64_t early_terms_ = 0, samples_ = 0, skipped_blocks_ = 0;
   std::unique_ptr<Barrier> bar_;
 };
 

@@ -73,11 +73,6 @@ class EventQueue {
     return heap_.size() + (ready_.size() - ready_pos_);
   }
 
-  /// Time of the earliest pending event. Precondition: !empty().
-  [[nodiscard]] Cycles next_time() const {
-    return ready_pos_ != ready_.size() ? ready_[ready_pos_].t : heap_.front().t;
-  }
-
   /// Current simulated time (time of the last event popped).
   [[nodiscard]] Cycles now() const noexcept { return now_; }
 

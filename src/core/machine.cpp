@@ -75,17 +75,9 @@ void MachineSpec::validate() const {
           "the warmup-boundary state)");
     }
   }
-  if (parallel.enabled()) {
-    if (contention.enabled) {
-      throw ConfigError(
-          "parallel execution is incompatible with the contention model "
-          "(queued resources are globally ordered)");
-    }
-    if (parallel_horizon() == 0) {
-      throw ConfigError(
-          "parallel horizon must be >= 1 cycle (check horizon_override / "
-          "latency model)");
-    }
+  if (model_shared_hit_costs && banks_per_proc == 0) {
+    // Table 4's conflict probability divides by m = banks_per_proc * ppc.
+    throw ConfigError("shared-cache hit-cost model needs banks_per_proc >= 1");
   }
   if (contention.enabled) {
     if (banks_per_proc == 0) {

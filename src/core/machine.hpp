@@ -5,7 +5,6 @@
 // system organizations, and the profilers.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -128,38 +127,6 @@ struct SamplingSpec {
   bool operator==(const SamplingSpec&) const noexcept = default;
 };
 
-/// Opt-in conservative cluster-parallel execution (DESIGN.md "Parallel
-/// windows").
-///
-/// When enabled (workers != 0), a single run executes its clusters on a
-/// small worker pool: each cluster's event queue advances independently
-/// inside a window [T, T + W) whose width W is the minimum inter-cluster
-/// latency from Table 1 (>= 30 cycles for any transaction that leaves a
-/// cluster — the guaranteed lookahead of conservative PDES). Operations
-/// that stay inside a cluster complete inline; anything globally visible
-/// (directory misses, upgrades, barriers, locks) is deferred to the window
-/// boundary, where the coordinator drains all clusters' mailboxes in a
-/// fixed deterministic order (timestamp, then source cluster, then
-/// enqueue sequence). Results are therefore bit-identical at every worker
-/// count — `workers` is a host-resource knob, excluded from config
-/// digests — while `horizon_override` changes the timing model and is
-/// part of the configuration identity.
-///
-/// With `workers == 0` (the default) the run takes the exact legacy
-/// single-queue path, byte-identical to before this spec existed.
-struct ParallelSpec {
-  /// Worker threads for the window scheduler. 0 = parallel mode off
-  /// (legacy single-queue path); 1 = windowed algorithm, inline, no
-  /// threads (same digests as any other worker count).
-  unsigned workers = 0;
-  /// Override the safe horizon W in cycles. 0 = derive from the Table 1
-  /// minimum inter-cluster latency. Part of the config digest.
-  Cycles horizon_override = 0;
-
-  [[nodiscard]] bool enabled() const noexcept { return workers != 0; }
-  bool operator==(const ParallelSpec&) const noexcept = default;
-};
-
 /// Full description of the simulated machine.
 struct MachineSpec {
   unsigned num_procs = 64;
@@ -210,10 +177,6 @@ struct MachineSpec {
   /// default; bit-identical to the sampling-free simulator when off).
   SamplingSpec sampling{};
 
-  /// Opt-in conservative cluster-parallel execution (disabled by default;
-  /// the legacy single-queue path is untouched when off).
-  ParallelSpec parallel{};
-
   [[nodiscard]] unsigned num_clusters() const noexcept {
     return num_procs / procs_per_cluster;
   }
@@ -238,20 +201,6 @@ struct MachineSpec {
   /// banks — with one requester it simply never conflicts).
   [[nodiscard]] unsigned cluster_banks() const noexcept {
     return banks_per_proc * procs_per_cluster;
-  }
-
-  /// Safe window width W for conservative cluster-parallel execution: the
-  /// override when set, else the minimum Table 1 latency of any transaction
-  /// that leaves a cluster (>= 30 cycles by default — the guaranteed
-  /// lookahead). snoop_transfer is intra-cluster and does not bound W.
-  [[nodiscard]] Cycles parallel_horizon() const noexcept {
-    if (parallel.horizon_override != 0) return parallel.horizon_override;
-    Cycles w = latency.local_clean;
-    w = std::min(w, latency.local_dirty_remote);
-    w = std::min(w, latency.remote_clean);
-    w = std::min(w, latency.remote_dirty_third);
-    w = std::min(w, latency.cluster_memory);
-    return w;
   }
 
   /// Throws ConfigError (a std::invalid_argument) if the configuration is
@@ -378,20 +327,6 @@ class MachineSpecBuilder {
   }
   MachineSpecBuilder& warm_quantum(Cycles q) {
     s_.sampling.warm_quantum = q;
-    return *this;
-  }
-  MachineSpecBuilder& parallel(const ParallelSpec& p) {
-    s_.parallel = p;
-    return *this;
-  }
-  /// Convenience: enable cluster-parallel execution with `n` workers
-  /// (0 = off, the legacy single-queue path).
-  MachineSpecBuilder& parallel_workers(unsigned n) {
-    s_.parallel.workers = n;
-    return *this;
-  }
-  MachineSpecBuilder& parallel_horizon(Cycles w) {
-    s_.parallel.horizon_override = w;
     return *this;
   }
 

@@ -10,15 +10,6 @@
 namespace csim {
 
 void Proc::schedule_resume(Cycles t, std::coroutine_handle<> h) {
-  if (pending_defer_) {
-    // A deferring memory op staged pending_ (detail_read / detail_write);
-    // this is the suspension that carries its coroutine handle. Route it to
-    // the partition outbox — the coordinator resumes it past the boundary.
-    pending_.h = h;
-    outbox_->push(pending_);
-    pending_defer_ = false;
-    return;
-  }
   queue_->schedule_resume(t, this, h);
 }
 
@@ -68,12 +59,6 @@ bool Proc::sampled_read(Addr a, Cycles& resume_at) {
   if (sampling_->detail()) {
     const bool ok = detail_read(a, resume_at);
     sampling_->on_ref(now_);
-    if (ok && sampling_->yield_due()) [[unlikely]] {
-      // Shard-mode epoch cap (parallel sampled runs): end the slice so the
-      // epoch can close and the coordinator can flip the regime.
-      resume_at = now_;
-      return false;
-    }
     return ok;
   }
   return warm_read(a, resume_at);
@@ -83,10 +68,6 @@ bool Proc::sampled_write(Addr a, Cycles& resume_at) {
   if (sampling_->detail()) {
     const bool ok = detail_write(a, resume_at);
     sampling_->on_ref(now_);
-    if (ok && sampling_->yield_due()) [[unlikely]] {
-      resume_at = now_;
-      return false;
-    }
     return ok;
   }
   return warm_write(a, resume_at);
@@ -106,24 +87,10 @@ bool Proc::warm_read(Addr a, Cycles& resume_at) {
       }
     }
     if (!filtered) {
-      if (outbox_ == nullptr) {
-        const AccessResult r = coh_->read(id_, a, now_);
-        if (r.hint != MruHint::None && gen_ != nullptr) {
-          warm_filter_[warm_slot(line)] =
-              FilterEntry{line, *gen_, r.hint == MruHint::ReadWrite};
-        }
-      } else if (const auto lr = coh_->local_read(id_, a, now_)) {
-        if (lr->hint != MruHint::None && gen_ != nullptr) {
-          warm_filter_[warm_slot(line)] =
-              FilterEntry{line, *gen_, lr->hint == MruHint::ReadWrite};
-        }
-      } else {
-        // Cross-cluster warming access: commit at the epoch boundary. The
-        // issuer never stalls (warming has no latency), so this entry is
-        // non-blocking — it neither suspends this processor nor forces the
-        // epoch to end.
-        outbox_->push(Deferred{Deferred::Kind::WarmRead, a, nullptr, nullptr,
-                               now_, {}, this});
+      const AccessResult r = coh_->read(id_, a, now_);
+      if (r.hint != MruHint::None && gen_ != nullptr) {
+        warm_filter_[warm_slot(line)] =
+            FilterEntry{line, *gen_, r.hint == MruHint::ReadWrite};
       }
     }
   }
@@ -131,10 +98,6 @@ bool Proc::warm_read(Addr a, Cycles& resume_at) {
   buckets_.cpu += hit;
   now_ += hit;
   sampling_->on_ref(now_);
-  if (sampling_->yield_due()) [[unlikely]] {
-    resume_at = now_;
-    return false;
-  }
   return check_slice(resume_at);
 }
 
@@ -152,20 +115,10 @@ bool Proc::warm_write(Addr a, Cycles& resume_at) {
       }
     }
     if (!filtered) {
-      if (outbox_ == nullptr) {
-        const AccessResult r = coh_->write(id_, a, now_);
-        if (r.hint != MruHint::None && gen_ != nullptr) {
-          warm_filter_[warm_slot(line)] =
-              FilterEntry{line, *gen_, r.hint == MruHint::ReadWrite};
-        }
-      } else if (const auto lw = coh_->local_write(id_, a, now_)) {
-        if (lw->hint != MruHint::None && gen_ != nullptr) {
-          warm_filter_[warm_slot(line)] =
-              FilterEntry{line, *gen_, lw->hint == MruHint::ReadWrite};
-        }
-      } else {
-        outbox_->push(Deferred{Deferred::Kind::WarmWrite, a, nullptr, nullptr,
-                               now_, {}, this});
+      const AccessResult r = coh_->write(id_, a, now_);
+      if (r.hint != MruHint::None && gen_ != nullptr) {
+        warm_filter_[warm_slot(line)] =
+            FilterEntry{line, *gen_, r.hint == MruHint::ReadWrite};
       }
     }
   }
@@ -173,10 +126,6 @@ bool Proc::warm_write(Addr a, Cycles& resume_at) {
   buckets_.cpu += hit;
   now_ += hit;
   sampling_->on_ref(now_);
-  if (sampling_->yield_due()) [[unlikely]] {
-    resume_at = now_;
-    return false;
-  }
   return check_slice(resume_at);
 }
 
@@ -197,22 +146,7 @@ bool Proc::detail_read(Addr a, Cycles& resume_at) {
       return check_slice(resume_at);
     }
   }
-  AccessResult r;
-  if (outbox_ == nullptr) {
-    r = coh_->read(id_, a, now_);
-  } else if (const auto lr = coh_->local_read(id_, a, now_)) {
-    r = *lr;
-  } else {
-    // Globally-visible read: defer to the window boundary. The suspension
-    // that follows (OpAwaiter / run_step yield) lands in schedule_resume,
-    // which captures the handle into the outbox.
-    wait_ = WaitInfo{WaitKind::Memory, nullptr, nullptr, a, 0, now_};
-    pending_ = Deferred{Deferred::Kind::Read, a, nullptr, nullptr, now_, {},
-                        this};
-    pending_defer_ = true;
-    resume_at = now_;
-    return false;
-  }
+  const AccessResult r = coh_->read(id_, a, now_);
   if (r.hint != MruHint::None && gen_ != nullptr) {
     filter_[filter_slot(line)] =
         FilterEntry{line, *gen_, r.hint == MruHint::ReadWrite};
@@ -280,20 +214,7 @@ bool Proc::detail_write(Addr a, Cycles& resume_at) {
     ++hot_->write_hits;
     if (touch_cache_ != nullptr) touch_cache_->touch(line);
   } else {
-    AccessResult r;
-    if (outbox_ == nullptr) {
-      r = coh_->write(id_, a, now_);
-    } else if (const auto lw = coh_->local_write(id_, a, now_)) {
-      r = *lw;
-    } else {
-      // Directory work (upgrade / write miss): window-boundary territory.
-      wait_ = WaitInfo{WaitKind::Memory, nullptr, nullptr, a, 0, now_};
-      pending_ = Deferred{Deferred::Kind::Write, a, nullptr, nullptr, now_,
-                          {}, this};
-      pending_defer_ = true;
-      resume_at = now_;
-      return false;
-    }
+    const AccessResult r = coh_->write(id_, a, now_);
     if (r.hint != MruHint::None && gen_ != nullptr) {
       filter_[filter_slot(line)] =
           FilterEntry{line, *gen_, r.hint == MruHint::ReadWrite};
@@ -452,26 +373,11 @@ bool Proc::warm_run_batch(Cycles& resume_at, bool& progressed) {
         const FilterEntry& e = warm_filter_[warm_slot(line)];
         std::uint64_t repeats = chunk;
         if (!(e.line == line && (is_read || e.writable) && e.gen == *gen_)) {
-          if (outbox_ == nullptr) {
-            const AccessResult ar = is_read ? coh_->read(id_, addr, now_)
-                                            : coh_->write(id_, addr, now_);
-            if (ar.hint != MruHint::None) {
-              warm_filter_[warm_slot(line)] =
-                  FilterEntry{line, *gen_, ar.hint == MruHint::ReadWrite};
-            }
-          } else if (const auto ar = is_read
-                         ? coh_->local_read(id_, addr, now_)
-                         : coh_->local_write(id_, addr, now_)) {
-            if (ar->hint != MruHint::None) {
-              warm_filter_[warm_slot(line)] =
-                  FilterEntry{line, *gen_, ar->hint == MruHint::ReadWrite};
-            }
-          } else {
-            // Deferred cross-cluster access: the boundary commit is the one
-            // real access of this chunk; the rest are its repeat hits.
-            outbox_->push(Deferred{is_read ? Deferred::Kind::WarmRead
-                                           : Deferred::Kind::WarmWrite,
-                                   addr, nullptr, nullptr, now_, {}, this});
+          const AccessResult ar = is_read ? coh_->read(id_, addr, now_)
+                                          : coh_->write(id_, addr, now_);
+          if (ar.hint != MruHint::None) {
+            warm_filter_[warm_slot(line)] =
+                FilterEntry{line, *gen_, ar.hint == MruHint::ReadWrite};
           }
           repeats = chunk - 1;
         }
@@ -500,10 +406,6 @@ bool Proc::warm_run_batch(Cycles& resume_at, bool& progressed) {
   }
   if (mem_per_iter != 0) sampling_->on_refs(k * mem_per_iter, now_);
   progressed = true;
-  if (sampling_->yield_due()) [[unlikely]] {
-    resume_at = now_;
-    return false;
-  }
   return check_slice(resume_at);
 }
 
@@ -541,10 +443,6 @@ Proc::RunAwaiter Proc::run(Addr base, Addr stride, std::uint32_t count,
 }
 
 bool Proc::BarrierAwaiter::await_ready() const {
-  // Parallel windows: every arrival defers — barrier state is coordinator-
-  // only, and even the would-be last arriver cannot know it is last until
-  // all partitions quiesce at the boundary.
-  if (p->outbox_ != nullptr) return false;
   Barrier& bar = *b;
   if (bar.arrived_ + 1 < bar.participants_) return false;
   // Last arriver: release everyone at (no earlier than) our current time.
@@ -564,12 +462,6 @@ bool Proc::BarrierAwaiter::await_ready() const {
 }
 
 void Proc::BarrierAwaiter::await_suspend(std::coroutine_handle<> h) const {
-  if (p->outbox_ != nullptr) {
-    p->wait_ = WaitInfo{WaitKind::Barrier, b, nullptr, 0, 0, p->now_};
-    p->outbox_->push(
-        Deferred{Deferred::Kind::BarrierArrive, 0, b, nullptr, p->now_, h, p});
-    return;
-  }
   Barrier& bar = *b;
   ++bar.arrived_;
   bar.waiters_.push_back(Barrier::Waiter{h, p, p->now_});
@@ -586,12 +478,6 @@ bool Proc::AcquireAwaiter::await_ready() const {
 }
 
 void Proc::AcquireAwaiter::await_suspend(std::coroutine_handle<> h) const {
-  if (p->outbox_ != nullptr) {
-    p->wait_ = WaitInfo{WaitKind::Lock, nullptr, l, 0, 0, p->now_};
-    p->outbox_->push(
-        Deferred{Deferred::Kind::LockAcquire, 0, nullptr, l, p->now_, h, p});
-    return;
-  }
   Lock& lk = *l;
   if (!lk.held_) {
     lk.held_ = true;
@@ -607,13 +493,6 @@ void Proc::AcquireAwaiter::await_suspend(std::coroutine_handle<> h) const {
 }
 
 void Proc::release(Lock& l) {
-  if (outbox_ != nullptr) {
-    // Lock state is coordinator-only in parallel mode; the release takes
-    // effect at the boundary. The releaser itself never suspends.
-    outbox_->push(
-        Deferred{Deferred::Kind::LockRelease, 0, nullptr, &l, now_, {}, this});
-    return;
-  }
   if (!l.held_) return;
   if (l.waiters_.empty()) {
     l.held_ = false;
@@ -626,155 +505,6 @@ void Proc::release(Lock& l) {
   l.owner_ = w.p->id();
   ++l.acquisitions_;
   w.p->schedule_resume(t, w.h);
-}
-
-// --- Window-boundary execution (coordinator; every partition quiescent) ----
-
-void Proc::finish_deferred(const Deferred& d, Cycles floor) {
-  switch (d.kind) {
-    case Deferred::Kind::Read: finish_read(d, floor); break;
-    case Deferred::Kind::Write: finish_write(d, floor); break;
-    case Deferred::Kind::BarrierArrive: finish_barrier_arrive(d, floor); break;
-    case Deferred::Kind::LockAcquire: finish_lock_acquire(d, floor); break;
-    case Deferred::Kind::LockRelease: finish_lock_release(d, floor); break;
-    case Deferred::Kind::WarmRead:
-    case Deferred::Kind::WarmWrite: finish_warm(d); break;
-  }
-}
-
-void Proc::finish_warm(const Deferred& d) {
-  // Functional mode is still on (the coordinator flips regimes only after
-  // the boundary drain), so this is exactly the access warming would have
-  // made inline: state and counters through the full protocol path, no
-  // timing, no MSHRs. The hint is installed under the *current* generation
-  // — earlier commits of this very drain may have bumped it.
-  const AccessResult r = d.kind == Deferred::Kind::WarmRead
-                             ? coh_->read(id_, d.addr, d.t)
-                             : coh_->write(id_, d.addr, d.t);
-  if (r.hint != MruHint::None && gen_ != nullptr) {
-    const Addr line = d.addr & line_mask_;
-    warm_filter_[warm_slot(line)] =
-        FilterEntry{line, *gen_, r.hint == MruHint::ReadWrite};
-  }
-}
-
-void Proc::finish_read(const Deferred& d, Cycles floor) {
-  // Re-issue the FULL read at its original time: an earlier boundary op of
-  // the same drain (a same-cluster fill, a peer's upgrade) may have changed
-  // what this access sees, and the full path classifies it correctly —
-  // including Hit/Merge against state another deferred op just created.
-  const AccessResult r = coh_->read(id_, d.addr, d.t);
-  const Addr line = d.addr & line_mask_;
-  if (r.hint != MruHint::None && gen_ != nullptr) {
-    filter_[filter_slot(line)] =
-        FilterEntry{line, *gen_, r.hint == MruHint::ReadWrite};
-  }
-  const Cycles hit = access_cost();
-  Cycles done;
-  bool merge = false;
-  switch (r.kind) {
-    case AccessResult::Kind::Hit:
-      buckets_.cpu += hit;
-      done = d.t + hit;
-      break;
-    case AccessResult::Kind::Merge: {
-      buckets_.cpu += hit;
-      const Cycles issue_done = d.t + hit;
-      const Cycles stall = r.ready_at > issue_done ? r.ready_at - issue_done : 0;
-      buckets_.merge += stall;
-      done = issue_done + stall;
-      merge = true;
-      break;
-    }
-    default:  // ReadMiss / NearHit
-      buckets_.cpu += hit;
-      buckets_.load += r.latency;
-      done = d.t + hit + r.latency;
-      break;
-  }
-  // The outcome was only determined at the boundary: resume no earlier than
-  // the next window, the gap charged to the bucket the stall belongs to.
-  const Cycles res = std::max(done, floor);
-  (merge ? buckets_.merge : buckets_.load) += res - done;
-  now_ = res;
-  wait_ = WaitInfo{WaitKind::Memory, nullptr, nullptr, d.addr, res, d.t};
-  queue_->schedule_resume(res, this, d.h);
-}
-
-void Proc::finish_write(const Deferred& d, Cycles floor) {
-  const AccessResult r = coh_->write(id_, d.addr, d.t);
-  const Addr line = d.addr & line_mask_;
-  if (r.hint != MruHint::None && gen_ != nullptr) {
-    filter_[filter_slot(line)] =
-        FilterEntry{line, *gen_, r.hint == MruHint::ReadWrite};
-  }
-  // Store issue occupies the cache for one access; miss/upgrade latency is
-  // hidden by the store buffer exactly as on the inline path.
-  const Cycles cost = access_cost();
-  buckets_.cpu += cost;
-  const Cycles done = d.t + cost;
-  const Cycles res = std::max(done, floor);
-  buckets_.load += res - done;
-  now_ = res;
-  wait_ = WaitInfo{WaitKind::Memory, nullptr, nullptr, d.addr, res, d.t};
-  queue_->schedule_resume(res, this, d.h);
-}
-
-void Proc::finish_barrier_arrive(const Deferred& d, Cycles floor) {
-  Barrier& bar = *d.barrier;
-  if (bar.arrived_ + 1 < bar.participants_) {
-    ++bar.arrived_;
-    bar.waiters_.push_back(Barrier::Waiter{d.h, this, d.t});
-    return;  // wait_ was set at suspension; stays until release
-  }
-  // Last arrival of the generation: release everyone. Waiters resume at the
-  // latest of the release time, their own arrival, and the window floor.
-  const Cycles release = d.t;
-  for (auto& w : bar.waiters_) {
-    const Cycles t = std::max(std::max(release, w.arrival), floor);
-    w.p->mutable_buckets().sync += t - w.arrival;
-    w.p->queue_->schedule_resume(t, w.p, w.h);
-  }
-  bar.waiters_.clear();
-  bar.arrived_ = 0;
-  ++bar.generations_;
-  const Cycles t = std::max(release, floor);
-  buckets_.sync += t - d.t;
-  now_ = t;
-  queue_->schedule_resume(t, this, d.h);
-}
-
-void Proc::finish_lock_acquire(const Deferred& d, Cycles floor) {
-  Lock& lk = *d.lock;
-  if (!lk.held_) {
-    lk.held_ = true;
-    lk.owner_ = id_;
-    ++lk.acquisitions_;
-    const Cycles t = std::max(d.t, floor);
-    buckets_.sync += t - d.t;
-    now_ = t;
-    queue_->schedule_resume(t, this, d.h);
-    return;
-  }
-  ++lk.contended_;
-  lk.waiters_.push_back(Lock::Waiter{d.h, this, d.t});
-  // wait_ was set at suspension; stays until the owner releases.
-}
-
-void Proc::finish_lock_release(const Deferred& d, Cycles floor) {
-  Lock& lk = *d.lock;
-  if (!lk.held_) return;
-  if (lk.waiters_.empty()) {
-    lk.held_ = false;
-    return;
-  }
-  Lock::Waiter w = lk.waiters_.front();
-  lk.waiters_.pop_front();
-  const Cycles t = std::max(std::max(d.t, w.arrival), floor);
-  w.p->mutable_buckets().sync += t - w.arrival;
-  lk.owner_ = w.p->id();
-  ++lk.acquisitions_;
-  w.p->queue_->schedule_resume(t, w.p, w.h);
 }
 
 }  // namespace csim

@@ -37,55 +37,6 @@ namespace csim {
 class Barrier;
 class Lock;
 class Observer;
-class Proc;
-
-/// A globally-visible operation deferred to a parallel window boundary
-/// (ParallelSpec; src/core/par_engine.hpp). Inside a window a processor may
-/// only touch its own cluster's state; anything else — a directory
-/// transition, a barrier arrival, a lock acquire/release — is recorded in
-/// the partition's outbox at its issue time and executed by the coordinator
-/// at the boundary, in a fixed deterministic order (time, then source
-/// cluster, then enqueue sequence).
-struct Deferred {
-  enum class Kind : std::uint8_t {
-    Read,          ///< read that left the cluster (full read() at boundary)
-    Write,         ///< write needing directory work (full write() at boundary)
-    BarrierArrive, ///< barrier arrival (coordinator owns barrier state)
-    LockAcquire,   ///< lock acquire (coordinator owns lock state)
-    LockRelease,   ///< lock release (no suspension; h is null)
-    WarmRead,      ///< functional-warming read that left the cluster
-    WarmWrite,     ///< functional-warming write that left the cluster
-  };
-  Kind kind = Kind::Read;
-  Addr addr = 0;              ///< Read/Write target
-  Barrier* barrier = nullptr; ///< BarrierArrive
-  Lock* lock = nullptr;       ///< LockAcquire/LockRelease
-  Cycles t = 0;               ///< issue time (processor-local clock)
-  std::coroutine_handle<> h{};
-  Proc* p = nullptr;
-};
-
-/// A partition's boundary mailbox. `blocking` counts the entries whose
-/// commitment gates forward progress — everything except WarmRead/WarmWrite,
-/// whose issuers keep running (warming has no latency, so the commit can
-/// wait for a convenient boundary). The engine batches windows into one
-/// barrier epoch for as long as every outbox is free of blocking entries;
-/// see src/core/par_engine.cpp.
-struct Outbox {
-  std::vector<Deferred> ops;     ///< enqueue order
-  std::uint32_t blocking = 0;    ///< ops that must commit at the next boundary
-  void push(const Deferred& d) {
-    if (d.kind != Deferred::Kind::WarmRead &&
-        d.kind != Deferred::Kind::WarmWrite) {
-      ++blocking;
-    }
-    ops.push_back(d);
-  }
-  void clear() noexcept {  // keeps capacity: boundary buffers are reused
-    ops.clear();
-    blocking = 0;
-  }
-};
 
 class Proc : public EventQueue::Resumable {
  public:
@@ -281,19 +232,6 @@ class Proc : public EventQueue::Resumable {
   /// Records completion if the root coroutine has finished.
   void note_if_finished() noexcept;
 
-  // --- Cluster-parallel execution (ParallelSpec; src/core/par_engine) -----
-
-  /// Enters parallel-window mode: globally-visible operations defer into
-  /// `outbox` instead of executing inline. Null (the default) keeps every
-  /// operation on the legacy inline path.
-  void set_parallel_outbox(Outbox* outbox) noexcept { outbox_ = outbox; }
-
-  /// Window-boundary execution of a deferred operation, run by the
-  /// coordinator with every partition quiescent. `floor` is the next
-  /// window's start: the operation's outcome is only determined at the
-  /// boundary, so the issuing processor never resumes before it.
-  void finish_deferred(const Deferred& d, Cycles floor);
-
   TimeBuckets& mutable_buckets() noexcept { return buckets_; }
 
   bool finished = false;
@@ -423,27 +361,6 @@ class Proc : public EventQueue::Resumable {
   RunState run_{};
 
   SamplingController* sampling_ = nullptr;  // null: unsampled hot path
-
-  // Parallel-window mode (null outbox_ = legacy inline path). A deferring
-  // memory op stages its Deferred in pending_ and raises pending_defer_;
-  // schedule_resume — the single point every suspension path (OpAwaiter,
-  // RunAwaiter, resume_event re-entry) funnels through — then captures the
-  // coroutine handle into the outbox instead of the event queue.
-  Outbox* outbox_ = nullptr;
-  bool pending_defer_ = false;
-  Deferred pending_{};
-
-  // Boundary helpers for finish_deferred.
-  void finish_read(const Deferred& d, Cycles floor);
-  void finish_write(const Deferred& d, Cycles floor);
-  void finish_barrier_arrive(const Deferred& d, Cycles floor);
-  void finish_lock_acquire(const Deferred& d, Cycles floor);
-  void finish_lock_release(const Deferred& d, Cycles floor);
-  /// WarmRead/WarmWrite: replay the warming access against globally-visible
-  /// state. No coroutine to resume, no timing — warming retires at the flat
-  /// hit cost when the reference issues; only the state/counter effects and
-  /// the warm-filter hint happen here.
-  void finish_warm(const Deferred& d);
 
   std::uint64_t rng_state_ = 0;
   std::uint64_t conflict_threshold_ = 0;  // scaled to 2^32

@@ -1,14 +1,11 @@
 #include "src/core/sampling.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <utility>
 
 #include "src/core/error.hpp"
-#include "src/core/processor.hpp"
 #include "src/mem/memory_system.hpp"
-#include "src/mem/warm_state.hpp"
 
 namespace csim {
 
@@ -33,16 +30,6 @@ SamplingController::SamplingController(
   }
 }
 
-SamplingController::SamplingController(
-    const MachineSpec& cfg, Regime initial,
-    std::chrono::steady_clock::time_point host_start)
-    : cfg_(&cfg), mem_(nullptr), regime_(initial), host_start_(host_start) {
-  // Shard mode: regime flips and functional-mode toggles belong to the epoch
-  // coordinator; with no boundary of its own this controller only counts,
-  // polls, and honors the per-epoch yield cap.
-  next_boundary_ = kNoBoundary;
-}
-
 void SamplingController::bind_buckets(
     std::vector<const TimeBuckets*> buckets) {
   buckets_ = std::move(buckets);
@@ -55,19 +42,14 @@ void SamplingController::bind_buckets(
   }
 }
 
-std::uint64_t sampling_interval_start(const MachineSpec& cfg,
-                                      std::uint64_t k) {
-  const SamplingSpec& s = cfg.sampling;
+std::uint64_t SamplingController::interval_start(std::uint64_t k) const {
+  const SamplingSpec& s = cfg_->sampling;
   if (!s.detail_at.empty()) {
     return k < s.detail_at.size() ? s.detail_at[k] : kNoBoundary;
   }
   if (k == 0) return s.warmup_refs;
   if (s.period_refs == 0) return kNoBoundary;
   return s.warmup_refs + k * s.period_refs;
-}
-
-std::uint64_t SamplingController::interval_start(std::uint64_t k) const {
-  return sampling_interval_start(*cfg_, k);
 }
 
 void SamplingController::advance_regime() {
@@ -155,106 +137,6 @@ SamplingController::Accounting SamplingController::finish() {
   acc.detailed_refs = detailed_refs_;
   acc.detail_buckets = detail_buckets_;
   return acc;
-}
-
-WarmCheckpointSetup setup_warm_checkpoint(
-    const MachineSpec& cfg, std::uint64_t warm_digest,
-    const std::string& app_name, std::uint8_t scale, MemorySystem& coh,
-    const std::vector<std::unique_ptr<Proc>>& procs) {
-  WarmCheckpointSetup out;
-  if (cfg.sampling.checkpoint_dir.empty()) return out;
-  const std::uint64_t boundary = cfg.sampling.detail_at.empty()
-                                     ? cfg.sampling.warmup_refs
-                                     : cfg.sampling.detail_at[0];
-  WarmLoad wl = load_warm_state(cfg.sampling.checkpoint_dir, warm_digest);
-  for (const std::string& w : wl.warnings) {
-    std::fprintf(stderr, "%s\n", w.c_str());
-  }
-  // The digest already keys these; re-checking the header defends against a
-  // digest collision handing back someone else's state.
-  if (wl.state.has_value() && wl.state->app_name == app_name &&
-      wl.state->scale == scale && wl.state->warmup_refs == boundary &&
-      wl.state->proc_now.size() == cfg.num_procs) {
-    out.fast_forward = true;
-    out.hook = [&cfg, &coh, &procs, warm_digest,
-                ws = *std::move(wl.state)] {
-      // Trust the checkpoint only if the replay reproduced the exact
-      // per-processor clocks it was captured with; a mismatch means the
-      // checkpoint predates a behavioral change and must be regenerated.
-      for (ProcId p = 0; p < cfg.num_procs; ++p) {
-        if (procs[p]->now() != ws.proc_now[p]) {
-          throw ProtocolError(
-              "warm-state checkpoint " +
-              warm_state_path(cfg.sampling.checkpoint_dir, warm_digest) +
-              " is stale: fast-forward replay reached cycle " +
-              std::to_string(procs[p]->now()) + " on proc " +
-              std::to_string(p) + ", checkpoint recorded " +
-              std::to_string(ws.proc_now[p]) +
-              "; delete the file to re-warm");
-        }
-      }
-      if (!coh.restore_warm_state(ws)) {
-        throw ProtocolError(
-            "warm-state checkpoint " +
-            warm_state_path(cfg.sampling.checkpoint_dir, warm_digest) +
-            " does not match this machine configuration; delete the file "
-            "to re-warm");
-      }
-    };
-    return out;
-  }
-  out.hook = [&cfg, &coh, &procs, warm_digest, app_name, scale, boundary] {
-    WarmState ws;
-    // A memory override without checkpoint support simply never saves.
-    if (!coh.capture_warm_state(ws)) return;
-    ws.warm_digest = warm_digest;
-    ws.app_name = app_name;
-    ws.scale = scale;
-    ws.warmup_refs = boundary;
-    ws.proc_now.reserve(cfg.num_procs);
-    for (const auto& pp : procs) ws.proc_now.push_back(pp->now());
-    save_warm_state(cfg.sampling.checkpoint_dir, ws);
-  };
-  return out;
-}
-
-void apply_sampling_extrapolation(SimResult& res,
-                                  const SamplingController::Accounting& acc) {
-  // Extrapolate timing from the detailed intervals. Miss counters are
-  // already exact (warming counts real hits and misses); only TimeBuckets
-  // and wall time are estimates, scaled by the inverse sampling fraction.
-  res.sampled = true;
-  res.detailed_refs = acc.detailed_refs;
-  res.coverage = acc.total_refs == 0
-                     ? 0.0
-                     : static_cast<double>(acc.detailed_refs) /
-                           static_cast<double>(acc.total_refs);
-  if (acc.detailed_refs != 0) {
-    // 128-bit intermediate: bucket totals scaled by total/detailed refs
-    // can overflow 64 bits mid-multiply at paper scale.
-    const auto scale_up = [&acc](std::uint64_t v) {
-      return static_cast<std::uint64_t>(static_cast<unsigned __int128>(v) *
-                                        acc.total_refs / acc.detailed_refs);
-    };
-    Cycles est_wall = 0;
-    for (std::size_t p = 0; p < res.per_proc.size(); ++p) {
-      const TimeBuckets& d = acc.detail_buckets[p];
-      TimeBuckets b;
-      b.cpu = scale_up(d.cpu);
-      b.load = scale_up(d.load);
-      b.merge = scale_up(d.merge);
-      b.sync = scale_up(d.sync);
-      b.contention = scale_up(d.contention);
-      res.per_proc[p] = b;
-      est_wall = std::max(est_wall, b.total());
-    }
-    // Pad sync up to the estimated wall (the implicit final barrier), so
-    // aggregate().total() == num_procs * wall_time still holds.
-    for (TimeBuckets& b : res.per_proc) b.sync += est_wall - b.total();
-    res.wall_time = est_wall;
-  }
-  // detailed_refs == 0 (the run never reached an interval): keep the raw
-  // flat-hit warming buckets — coverage 0 flags them as unmeasured.
 }
 
 }  // namespace csim

@@ -29,8 +29,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "src/core/machine.hpp"
@@ -39,7 +37,6 @@
 namespace csim {
 
 class MemorySystem;
-class Proc;
 
 class SamplingController {
  public:
@@ -64,28 +61,6 @@ class SamplingController {
   SamplingController(const MachineSpec& cfg, MemorySystem* mem,
                      bool fast_forward,
                      std::chrono::steady_clock::time_point host_start);
-
-  /// Shard mode (cluster-parallel sampled runs; src/core/par_engine.cpp):
-  /// one controller per cluster counts that cluster's references and polls
-  /// the watchdogs, but never flips regimes or toggles functional mode — the
-  /// epoch coordinator owns the machine-global schedule and drives every
-  /// shard through set_regime / set_yield_cap at quiescent epoch boundaries.
-  SamplingController(const MachineSpec& cfg, Regime initial,
-                     std::chrono::steady_clock::time_point host_start);
-
-  /// Coordinator-only (shard mode): sets the regime for the next epoch.
-  void set_regime(Regime r) noexcept { regime_ = r; }
-  /// Coordinator-only (shard mode): this shard may retire at most `more`
-  /// further references before its processors yield and flag the epoch for
-  /// termination (yield_due). Ref-count driven, so Warming and FastForward
-  /// replay see identical epoch schedules.
-  void set_yield_cap(std::uint64_t more) noexcept {
-    yield_at_ = more > ~refs_ ? ~std::uint64_t{0} : refs_ + more;
-  }
-  /// True once the epoch's reference cap is consumed; the retiring processor
-  /// ends its slice and the coordinator ends the epoch at the next boundary.
-  /// Always false outside shard mode.
-  [[nodiscard]] bool yield_due() const noexcept { return refs_ >= yield_at_; }
 
   /// Per-processor raw bucket bindings, in processor order. Must be called
   /// before the first reference retires.
@@ -118,15 +93,12 @@ class SamplingController {
   }
 
   /// Max references a warming batch may retire before it must call
-  /// on_refs(): never crosses a regime boundary, a watchdog poll point, or
-  /// (shard mode) the epoch's yield cap.
+  /// on_refs(): never crosses a regime boundary or a watchdog poll point.
   [[nodiscard]] std::uint64_t max_batch() const noexcept {
-    std::uint64_t cap = next_boundary_ < next_poll_ ? next_boundary_
-                                                    : next_poll_;
-    if (yield_at_ < cap) cap = yield_at_;
-    // Boundaries and polls trigger eagerly, so cap > refs_ — except past a
-    // consumed yield cap, where processors retire one reference per slice
-    // until the window closes.
+    const std::uint64_t cap = next_boundary_ < next_poll_ ? next_boundary_
+                                                          : next_poll_;
+    // Boundaries and polls trigger eagerly, so cap > refs_ always holds; the
+    // floor of 1 only guards the batch loop against a zero-length batch.
     return cap > refs_ ? cap - refs_ : 1;
   }
 
@@ -164,7 +136,6 @@ class SamplingController {
   Regime regime_;
   std::uint64_t refs_ = 0;
   std::uint64_t next_boundary_ = 0;
-  std::uint64_t yield_at_ = ~std::uint64_t{0};  ///< shard-mode epoch cap
   std::uint64_t next_poll_ = kPollMinRefs;
   std::uint64_t poll_stride_ = kPollMinRefs;
   std::uint64_t interval_index_ = 0;  ///< detailed intervals entered so far
@@ -177,35 +148,5 @@ class SamplingController {
   std::vector<TimeBuckets> detail_buckets_;
   std::chrono::steady_clock::time_point host_start_;
 };
-
-/// Global reference count at which detailed interval `k` starts, or
-/// UINT64_MAX when there is none. The one sampling schedule, shared by the
-/// sequential controller and the parallel epoch coordinator.
-[[nodiscard]] std::uint64_t sampling_interval_start(const MachineSpec& cfg,
-                                                    std::uint64_t k);
-
-/// Warm-checkpoint wiring shared by the sequential and parallel engines:
-/// with a checkpoint directory configured, try to load the warm state keyed
-/// by `warm_digest`; a usable checkpoint turns the warmup into a
-/// fast-forward replay. `hook` (empty when checkpointing is off) must run
-/// once at the warmup boundary, before the memory system leaves functional
-/// mode: it installs the loaded state (fast_forward) or captures and saves
-/// the warmed state. `procs` is captured by reference and must outlive the
-/// hook.
-struct WarmCheckpointSetup {
-  std::function<void()> hook;
-  bool fast_forward = false;
-};
-[[nodiscard]] WarmCheckpointSetup setup_warm_checkpoint(
-    const MachineSpec& cfg, std::uint64_t warm_digest,
-    const std::string& app_name, std::uint8_t scale, MemorySystem& coh,
-    const std::vector<std::unique_ptr<Proc>>& procs);
-
-/// Run-end extrapolation shared by both engines: scales the detailed-interval
-/// TimeBuckets in `res.per_proc` (already holding raw whole-run buckets) by
-/// the inverse sampling fraction and recomputes wall time. Miss counters are
-/// exact already; coverage 0 flags a run that never reached an interval.
-void apply_sampling_extrapolation(SimResult& res,
-                                  const SamplingController::Accounting& acc);
 
 }  // namespace csim

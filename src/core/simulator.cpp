@@ -1,30 +1,196 @@
 #include "src/core/simulator.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
 #include "src/core/error.hpp"
 #include "src/core/event_queue.hpp"
-#include "src/core/par_engine.hpp"
-#include "src/core/run_debug.hpp"
 #include "src/core/sampling.hpp"
 #include "src/core/sync.hpp"
 #include "src/mem/clustered_memory.hpp"
 #include "src/mem/coherence.hpp"
+#include "src/mem/warm_state.hpp"
 #include "src/obs/manifest.hpp"
 #include "src/obs/observer.hpp"
 
 namespace csim {
 namespace {
 
-using detail::describe_wait;
+std::string sync_object_name(const std::string& name, const void* fallback) {
+  if (!name.empty()) return "'" + name + "'";
+  char buf[2 + 16 + 1];
+  std::snprintf(buf, sizeof buf, "@%p", fallback);
+  return buf;
+}
+
+/// One-line description of what a processor is doing / waiting for.
+std::string describe_wait(const Proc& p) {
+  const Proc::WaitInfo& w = p.wait();
+  switch (w.kind) {
+    case Proc::WaitKind::Barrier: {
+      const Barrier* b = w.barrier;
+      return "blocked on barrier " + sync_object_name(b->name(), b) +
+             " (arrived " + std::to_string(b->arrived()) + "/" +
+             std::to_string(b->participants()) + ") since cycle " +
+             std::to_string(w.since);
+    }
+    case Proc::WaitKind::Lock: {
+      const Lock* l = w.lock;
+      std::string s = "blocked on lock " + sync_object_name(l->name(), l);
+      if (l->held()) s += " (owner proc " + std::to_string(l->owner()) + ")";
+      s += ", queue length " + std::to_string(l->queue_length()) +
+           ", since cycle " + std::to_string(w.since);
+      return s;
+    }
+    case Proc::WaitKind::Memory: {
+      char buf[2 + 16 + 1];
+      std::snprintf(buf, sizeof buf, "0x%llx",
+                    static_cast<unsigned long long>(w.addr));
+      return std::string("stalled on outstanding miss at ") + buf +
+             " (fill due cycle " + std::to_string(w.ready_at) + ")";
+    }
+    case Proc::WaitKind::None:
+      break;
+  }
+  return "running";
+}
 
 MachineSnapshot capture_snapshot(const EventQueue& queue,
                                  const std::vector<std::unique_ptr<Proc>>& procs) {
-  return detail::capture_proc_snapshot(queue.now(), queue.size(),
-                                       queue.events_run(), procs);
+  MachineSnapshot snap;
+  snap.cycle = queue.now();
+  snap.event_queue_depth = queue.size();
+  snap.events_processed = queue.events_run();
+  snap.procs.reserve(procs.size());
+  for (const auto& pp : procs) {
+    MachineSnapshot::ProcState st;
+    st.id = pp->id();
+    st.finished = pp->finished;
+    st.last_progress = pp->now();
+    st.detail = pp->finished
+                    ? "finished at cycle " + std::to_string(pp->finish_time)
+                    : describe_wait(*pp);
+    snap.procs.push_back(std::move(st));
+  }
+  return snap;
+}
+
+/// Warm-checkpoint wiring: with a checkpoint directory configured, try to
+/// load the warm state keyed by `warm_digest`; a usable checkpoint turns the
+/// warmup into a fast-forward replay. `hook` (empty when checkpointing is
+/// off) must run once at the warmup boundary, before the memory system
+/// leaves functional mode: it installs the loaded state (fast_forward) or
+/// captures and saves the warmed state. `procs` is captured by reference and
+/// must outlive the hook.
+struct WarmCheckpointSetup {
+  std::function<void()> hook;
+  bool fast_forward = false;
+};
+
+WarmCheckpointSetup setup_warm_checkpoint(
+    const MachineSpec& cfg, std::uint64_t warm_digest,
+    const std::string& app_name, std::uint8_t scale, MemorySystem& coh,
+    const std::vector<std::unique_ptr<Proc>>& procs) {
+  WarmCheckpointSetup out;
+  if (cfg.sampling.checkpoint_dir.empty()) return out;
+  const std::uint64_t boundary = cfg.sampling.detail_at.empty()
+                                     ? cfg.sampling.warmup_refs
+                                     : cfg.sampling.detail_at[0];
+  WarmLoad wl = load_warm_state(cfg.sampling.checkpoint_dir, warm_digest);
+  for (const std::string& w : wl.warnings) {
+    std::fprintf(stderr, "%s\n", w.c_str());
+  }
+  // The digest already keys these; re-checking the header defends against a
+  // digest collision handing back someone else's state.
+  if (wl.state.has_value() && wl.state->app_name == app_name &&
+      wl.state->scale == scale && wl.state->warmup_refs == boundary &&
+      wl.state->proc_now.size() == cfg.num_procs) {
+    out.fast_forward = true;
+    out.hook = [&cfg, &coh, &procs, warm_digest,
+                ws = *std::move(wl.state)] {
+      // Trust the checkpoint only if the replay reproduced the exact
+      // per-processor clocks it was captured with; a mismatch means the
+      // checkpoint predates a behavioral change and must be regenerated.
+      for (ProcId p = 0; p < cfg.num_procs; ++p) {
+        if (procs[p]->now() != ws.proc_now[p]) {
+          throw ProtocolError(
+              "warm-state checkpoint " +
+              warm_state_path(cfg.sampling.checkpoint_dir, warm_digest) +
+              " is stale: fast-forward replay reached cycle " +
+              std::to_string(procs[p]->now()) + " on proc " +
+              std::to_string(p) + ", checkpoint recorded " +
+              std::to_string(ws.proc_now[p]) +
+              "; delete the file to re-warm");
+        }
+      }
+      if (!coh.restore_warm_state(ws)) {
+        throw ProtocolError(
+            "warm-state checkpoint " +
+            warm_state_path(cfg.sampling.checkpoint_dir, warm_digest) +
+            " does not match this machine configuration; delete the file "
+            "to re-warm");
+      }
+    };
+    return out;
+  }
+  out.hook = [&cfg, &coh, &procs, warm_digest, app_name, scale, boundary] {
+    WarmState ws;
+    // A memory override without checkpoint support simply never saves.
+    if (!coh.capture_warm_state(ws)) return;
+    ws.warm_digest = warm_digest;
+    ws.app_name = app_name;
+    ws.scale = scale;
+    ws.warmup_refs = boundary;
+    ws.proc_now.reserve(cfg.num_procs);
+    for (const auto& pp : procs) ws.proc_now.push_back(pp->now());
+    save_warm_state(cfg.sampling.checkpoint_dir, ws);
+  };
+  return out;
+}
+
+/// Run-end extrapolation of a sampled run; `res.per_proc` holds the raw
+/// whole-run buckets on entry.
+void apply_sampling_extrapolation(SimResult& res,
+                                  const SamplingController::Accounting& acc) {
+  // Extrapolate timing from the detailed intervals. Miss counters are
+  // already exact (warming counts real hits and misses); only TimeBuckets
+  // and wall time are estimates, scaled by the inverse sampling fraction.
+  res.sampled = true;
+  res.detailed_refs = acc.detailed_refs;
+  res.coverage = acc.total_refs == 0
+                     ? 0.0
+                     : static_cast<double>(acc.detailed_refs) /
+                           static_cast<double>(acc.total_refs);
+  if (acc.detailed_refs != 0) {
+    // 128-bit intermediate: bucket totals scaled by total/detailed refs
+    // can overflow 64 bits mid-multiply at paper scale.
+    const auto scale_up = [&acc](std::uint64_t v) {
+      return static_cast<std::uint64_t>(static_cast<unsigned __int128>(v) *
+                                        acc.total_refs / acc.detailed_refs);
+    };
+    Cycles est_wall = 0;
+    for (std::size_t p = 0; p < res.per_proc.size(); ++p) {
+      const TimeBuckets& d = acc.detail_buckets[p];
+      TimeBuckets b;
+      b.cpu = scale_up(d.cpu);
+      b.load = scale_up(d.load);
+      b.merge = scale_up(d.merge);
+      b.sync = scale_up(d.sync);
+      b.contention = scale_up(d.contention);
+      res.per_proc[p] = b;
+      est_wall = std::max(est_wall, b.total());
+    }
+    // Pad sync up to the estimated wall (the implicit final barrier), so
+    // aggregate().total() == num_procs * wall_time still holds.
+    for (TimeBuckets& b : res.per_proc) b.sync += est_wall - b.total();
+    res.wall_time = est_wall;
+  }
+  // detailed_refs == 0 (the run never reached an interval): keep the raw
+  // flat-hit warming buckets — coverage 0 flags them as unmeasured.
 }
 
 }  // namespace
@@ -42,18 +208,6 @@ Simulator::Simulator(std::shared_ptr<const MachineSpec> spec)
 
 SimResult Simulator::run(Program& prog, MemorySystem* memory_override) {
   const MachineSpec& cfg_ = *spec_;  // the run-wide shared immutable spec
-  if (cfg_.parallel.enabled()) {
-    // Observability hooks assume one global event stream; the window engine
-    // has per-cluster queues. The contention model is already rejected by
-    // MachineSpec::validate(); sampling composes (the window engine runs
-    // its own per-cluster sampling shards).
-    if (obs_ != nullptr) {
-      throw ConfigError(
-          "parallel execution is incompatible with an attached observer "
-          "(tracing/metrics assume a single global event order)");
-    }
-    return par::run_parallel(spec_, prog, memory_override);
-  }
   const auto host_start = std::chrono::steady_clock::now();
   AddressSpace as;
   try {

@@ -467,154 +467,6 @@ AccessResult ClusteredMemorySystem::read(ProcId p, Addr a, Cycles now) {
   return fetch_remote(p, line, now, /*exclusive=*/false, bus_wait);
 }
 
-std::optional<AccessResult> ClusteredMemorySystem::local_read(ProcId p,
-                                                              Addr a,
-                                                              Cycles now) {
-  // read() restricted to cluster-local state: the private-cache probe, the
-  // in-cluster merge, and the snoop / cluster-memory NearHit paths touch
-  // only cluster `c` (its caches, attraction memory, MSHRs, generation);
-  // a directory fetch defers. The reads counter is bumped only on the
-  // completing paths — the boundary re-issue of the full read() counts a
-  // deferred access exactly once. Parallel mode excludes the contention
-  // model (MachineSpec::validate), so the bus never queues here. Parallel
-  // functional warming also probes through here (timing fields ignored);
-  // warming never allocates MSHRs, so the cluster-local state transitions
-  // match the full functional read()'s.
-  const ClusterId c = cfg_.cluster_of(p);
-  const Addr line = line_of(a);
-  MissCounters& ctr = counters_[c];
-  const bool no_fills = mshrs_[c].empty();
-  std::optional<LineState> st;
-  if (no_fills) {
-    st = caches_[p]->access(line);
-  } else if ((st = caches_[p]->lookup(line))) {
-    if (MshrEntry* m = mshrs_[c].find(line)) {
-      if (m->fill_time > now) {
-        ++ctr.reads;
-        ++ctr.merges;
-        return AccessResult{AccessResult::Kind::Merge, 0, m->fill_time,
-                            LatencyClass::LocalClean};
-      }
-      mshrs_[c].release(line);
-    }
-    caches_[p]->touch(line);
-  }
-  if (st) {
-    ++ctr.reads;
-    ++ctr.read_hits;
-    AccessResult r{AccessResult::Kind::Hit};
-    r.hint = *st == LineState::Exclusive ? MruHint::ReadWrite
-                                         : MruHint::ReadOnly;
-    return r;
-  }
-
-  if (ClusterLine* pcl = attraction_[c].find(line)) {
-    if (MshrEntry* m = no_fills ? nullptr : mshrs_[c].find(line);
-        m && m->fill_time > now) {
-      ++ctr.reads;
-      ++ctr.merges;
-      return AccessResult{AccessResult::Kind::Merge, 0, m->fill_time,
-                          LatencyClass::LocalClean};
-    }
-    ++ctr.reads;
-    ClusterLine& cl = *pcl;
-    Cycles lat;
-    if (cl.proc_copies) {
-      lat = cfg_.latency.snoop_transfer;
-      ++ctr.snoop_transfers;
-      ++gen_[c];  // kill hook: peer copies demoted to SHARED
-      std::uint64_t copies = cl.proc_copies;
-      const ProcId base = c * cfg_.procs_per_cluster;
-      while (copies) {
-        const unsigned li = static_cast<unsigned>(__builtin_ctzll(copies));
-        copies &= copies - 1;
-        caches_[base + li]->set_state(line, LineState::Shared);
-      }
-    } else {
-      lat = cfg_.latency.cluster_memory;
-      ++ctr.cluster_memory_hits;
-    }
-    install_private(p, line, LineState::Shared);
-    attraction_[c][line].proc_copies |= std::uint64_t{1} << local_index(p);
-    return AccessResult{AccessResult::Kind::NearHit, lat, now + lat,
-                        LatencyClass::LocalClean};
-  }
-  return std::nullopt;  // remote fetch through the directory: boundary work
-}
-
-std::optional<AccessResult> ClusteredMemorySystem::local_write(ProcId p,
-                                                               Addr a,
-                                                               Cycles now) {
-  const ClusterId c = cfg_.cluster_of(p);
-  const Addr line = line_of(a);
-  MissCounters& ctr = counters_[c];
-
-  auto kill_local_peers = [&](ClusterLine& cl) {
-    std::uint64_t others =
-        cl.proc_copies & ~(std::uint64_t{1} << local_index(p));
-    if (others != 0) ++gen_[c];  // kill hook: peer copies erased off the bus
-    const ProcId base = c * cfg_.procs_per_cluster;
-    while (others) {
-      const unsigned li = static_cast<unsigned>(__builtin_ctzll(others));
-      others &= others - 1;
-      caches_[base + li]->erase(line);
-      ++ctr.bus_invalidations;
-    }
-    cl.proc_copies = std::uint64_t{1} << local_index(p);
-  };
-
-  const bool no_fills = mshrs_[c].empty();
-  std::optional<LineState> st;
-  bool pending = false;
-  if (no_fills) {
-    st = caches_[p]->access(line);
-  } else if ((st = caches_[p]->lookup(line))) {
-    if (MshrEntry* m = mshrs_[c].find(line)) {
-      if (m->fill_time <= now) {
-        mshrs_[c].release(line);
-      } else {
-        pending = true;  // a read while this fill is in flight must Merge
-      }
-    }
-    caches_[p]->touch(line);
-  }
-  if (st) {
-    if (*st == LineState::Exclusive) {
-      ++ctr.writes;
-      ++ctr.write_hits;
-      AccessResult r{AccessResult::Kind::Hit};
-      r.hint = pending ? MruHint::None : MruHint::ReadWrite;
-      return r;
-    }
-    // Proc-level upgrade. Ownership already in the cluster keeps the whole
-    // transaction on the bus; otherwise the machine-wide ownership grab
-    // (invalidate_other_clusters + directory) defers — checked before any
-    // mutation so the boundary re-issue starts from untouched state.
-    ClusterLine* pcl = attraction_[c].find(line);
-    if (pcl == nullptr || !pcl->cluster_exclusive) return std::nullopt;
-    ++ctr.writes;
-    kill_local_peers(*pcl);
-    caches_[p]->set_state(line, LineState::Exclusive);
-    ++ctr.write_hits;
-    AccessResult r{AccessResult::Kind::Hit};
-    r.hint = pending ? MruHint::None : MruHint::ReadWrite;
-    return r;
-  }
-
-  if (ClusterLine* pcl = attraction_[c].find(line)) {
-    // Write-allocate from within the cluster, but only when ownership is
-    // already here; taking it machine-wide is boundary work.
-    if (!pcl->cluster_exclusive) return std::nullopt;
-    ++ctr.writes;
-    kill_local_peers(*pcl);
-    install_private(p, line, LineState::Exclusive);
-    pcl->proc_copies |= std::uint64_t{1} << local_index(p);
-    ++ctr.write_hits;
-    return AccessResult{AccessResult::Kind::Hit};
-  }
-  return std::nullopt;  // exclusive remote fetch: boundary work
-}
-
 AccessResult ClusteredMemorySystem::write(ProcId p, Addr a, Cycles now) {
   const ClusterId c = cfg_.cluster_of(p);
   const Addr line = line_of(a);

@@ -58,16 +58,6 @@ class ClusteredMemorySystem final : public MemorySystem {
   AccessResult read(ProcId p, Addr a, Cycles now) override;
   AccessResult write(ProcId p, Addr a, Cycles now) override;
 
-  /// Cluster-local window paths (ParallelSpec): private hits, merges, bus
-  /// snoop / cluster-memory transfers, and writes to lines the cluster
-  /// already owns exclusively complete inline; anything that must reach the
-  /// directory (remote fetch, machine-wide upgrade) defers to the window
-  /// boundary.
-  std::optional<AccessResult> local_read(ProcId p, Addr a,
-                                         Cycles now) override;
-  std::optional<AccessResult> local_write(ProcId p, Addr a,
-                                          Cycles now) override;
-
   [[nodiscard]] const MissCounters& cluster_counters(
       ClusterId c) const override {
     return counters_[c];

@@ -339,80 +339,6 @@ AccessResult CoherenceController::read(ProcId p, Addr a, Cycles now) {
   return handle_read_miss(c, line, now, port_wait);
 }
 
-std::optional<AccessResult> CoherenceController::local_read(ProcId p, Addr a,
-                                                            Cycles now) {
-  // Same fused probe as read(), restricted to cluster-local state. The
-  // reads counter is bumped only on the completing paths — a deferred
-  // operation is re-issued as a full read() at the window boundary, which
-  // counts it exactly once. Parallel mode excludes the contention model
-  // (MachineSpec::validate), so port queues are never consulted. Parallel
-  // functional warming also probes through here (the timing fields are
-  // ignored then); with warming never allocating MSHRs, the cluster-local
-  // state transitions are the same ones the full functional read() takes.
-  const ClusterId c = cfg_.cluster_of(p);
-  const Addr line = line_of(a);
-  MissCounters& ctr = counters_[c];
-  std::optional<LineState> st;
-  if (mshrs_[c].empty()) {
-    st = caches_[c]->access(line);
-  } else if ((st = caches_[c]->lookup(line))) {
-    if (MshrEntry* m = mshrs_[c].find(line)) {
-      if (m->fill_time > now) {
-        ++ctr.reads;
-        ++ctr.merges;
-        return AccessResult{AccessResult::Kind::Merge, 0, m->fill_time,
-                            LatencyClass::LocalClean};
-      }
-      mshrs_[c].release(line);  // fill has arrived
-    }
-    caches_[c]->touch(line);
-  } else {
-    mshrs_[c].release(line);  // drop any stale entry for a departed line
-  }
-  if (st) {
-    ++ctr.reads;
-    ++ctr.read_hits;
-    AccessResult r{AccessResult::Kind::Hit};
-    r.hint = *st == LineState::Exclusive ? MruHint::ReadWrite
-                                         : MruHint::ReadOnly;
-    return r;
-  }
-  return std::nullopt;  // directory transition: window-boundary work
-}
-
-std::optional<AccessResult> CoherenceController::local_write(ProcId p, Addr a,
-                                                             Cycles now) {
-  const ClusterId c = cfg_.cluster_of(p);
-  const Addr line = line_of(a);
-  MissCounters& ctr = counters_[c];
-  std::optional<LineState> st;
-  bool pending = false;
-  if (mshrs_[c].empty()) {
-    st = caches_[c]->access(line);
-  } else if ((st = caches_[c]->lookup(line))) {
-    if (MshrEntry* m = mshrs_[c].find(line)) {
-      if (m->fill_time <= now) {
-        mshrs_[c].release(line);
-      } else {
-        pending = true;  // a read while this fill is in flight must Merge
-      }
-    }
-    caches_[c]->touch(line);
-  } else {
-    mshrs_[c].release(line);  // drop any stale entry for a departed line
-  }
-  if (st && *st == LineState::Exclusive) {
-    ++ctr.writes;
-    ++ctr.write_hits;
-    AccessResult r{AccessResult::Kind::Hit};
-    r.hint = pending ? MruHint::None : MruHint::ReadWrite;
-    return r;
-  }
-  // SHARED (an upgrade invalidates other clusters) or absent (a write miss
-  // moves directory ownership): both are globally visible — defer.
-  return std::nullopt;
-}
-
 AccessResult CoherenceController::write(ProcId p, Addr a, Cycles now) {
   const ClusterId c = cfg_.cluster_of(p);
   const Addr line = line_of(a);

@@ -52,14 +52,6 @@ class CoherenceController final : public MemorySystem {
   /// Processor `p` writes address `a` at time `now`.
   AccessResult write(ProcId p, Addr a, Cycles now) override;
 
-  /// Cluster-local window paths (ParallelSpec): hits and merges complete
-  /// against cluster `c`'s cache/MSHRs only; every directory transition
-  /// (read miss, upgrade, write miss) defers to the window boundary.
-  std::optional<AccessResult> local_read(ProcId p, Addr a,
-                                         Cycles now) override;
-  std::optional<AccessResult> local_write(ProcId p, Addr a,
-                                          Cycles now) override;
-
   [[nodiscard]] const MissCounters& cluster_counters(
       ClusterId c) const override {
     return counters_[c];

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "src/core/stats.hpp"
 #include "src/core/types.hpp"
@@ -65,37 +64,6 @@ class MemorySystem {
   /// Processor `p` reads / writes address `a` at time `now`.
   virtual AccessResult read(ProcId p, Addr a, Cycles now) = 0;
   virtual AccessResult write(ProcId p, Addr a, Cycles now) = 0;
-
-  // --- Cluster-parallel execution support (ParallelSpec) -------------------
-
-  /// Cluster-local attempt at a read/write, used inside a parallel window
-  /// where only `p`'s own cluster state may be touched. Returns the access
-  /// result when the operation completes entirely within the cluster
-  /// (hit, merge, snoop / cluster-memory transfer, exclusive upgrade of an
-  /// already cluster-exclusive line), or nullopt when it is globally
-  /// visible and must be deferred to the window boundary, where the
-  /// coordinator re-issues the full read()/write().
-  ///
-  /// Contract for the nullopt path: no state anywhere may change in a way
-  /// the boundary re-issue would double-count — in particular the
-  /// reads/writes counters are NOT bumped (the full call does that).
-  /// Cluster-local cleanups that the full call would also perform (stale
-  /// MSHR release, LRU touches) are allowed. The defaults defer everything,
-  /// which is correct (if slow) for any organization.
-  virtual std::optional<AccessResult> local_read(ProcId p, Addr a,
-                                                 Cycles now) {
-    (void)p;
-    (void)a;
-    (void)now;
-    return std::nullopt;
-  }
-  virtual std::optional<AccessResult> local_write(ProcId p, Addr a,
-                                                  Cycles now) {
-    (void)p;
-    (void)a;
-    (void)now;
-    return std::nullopt;
-  }
 
   [[nodiscard]] virtual const MissCounters& cluster_counters(
       ClusterId c) const = 0;

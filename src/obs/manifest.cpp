@@ -136,14 +136,6 @@ std::uint64_t config_digest(const MachineSpec& cfg, std::string_view app,
     for (std::uint64_t at : cfg.sampling.detail_at) f.u64(at);
     f.u64(cfg.sampling.warm_quantum);
   }
-  // Appended only when cluster-parallel execution is on (same reasoning as
-  // sampling above). The horizon changes results (window boundary floors);
-  // the worker count never does — by construction — so it is excluded and
-  // a cached row satisfies any --par N with the same horizon.
-  if (cfg.parallel.enabled()) {
-    f.byte(2);
-    f.u64(cfg.parallel_horizon());
-  }
   return f.h;
 }
 
@@ -167,13 +159,6 @@ std::uint64_t warm_config_digest(const MachineSpec& cfg, std::string_view app,
   // periodic schedule, so the first of them is where warming ends.
   f.u64(cfg.sampling.detail_at.empty() ? cfg.sampling.warmup_refs
                                        : cfg.sampling.detail_at[0]);
-  // Parallel runs shard warming per cluster; the boundary state matches a
-  // sequential warmup, but proc_now clocks depend on the epoch schedule, so
-  // checkpoints must not be shared across engines or horizon widths.
-  if (cfg.parallel.enabled()) {
-    f.byte(2);
-    f.u64(cfg.parallel_horizon());
-  }
   return f.h;
 }
 

@@ -65,17 +65,7 @@ const char* ObsArgs::usage() {
          "                        to shard k of N (multi-host splits; merge\n"
          "                        the artifacts with csim_merge)\n"
          "  --shard-out BASE      write BASE.csv and BASE.json shard-merge\n"
-         "                        artifacts (requires --shard)\n"
-         "  --par N               run each row under the conservative\n"
-         "                        cluster-parallel engine with N worker\n"
-         "                        threads; results are bit-identical at\n"
-         "                        every N; composes with --sample\n"
-         "                        (incompatible with --contention and\n"
-         "                        observability flags)\n"
-         "  --par-horizon W       override the parallel synchronization\n"
-         "                        window width in cycles (default: the\n"
-         "                        minimum inter-cluster latency; changes\n"
-         "                        results and re-keys digests)\n";
+         "                        artifacts (requires --shard)\n";
 }
 
 bool ObsArgs::consume(int argc, char** argv, int& i) {
@@ -159,17 +149,6 @@ bool ObsArgs::consume(int argc, char** argv, int& i) {
     if (shard_out.empty()) {
       throw ConfigError("--shard-out requires a non-empty path base");
     }
-  } else if (a == "--par") {
-    par.workers = static_cast<unsigned>(parse_u64(a, next()));
-    if (par.workers == 0) {
-      throw ConfigError("--par must be > 0 (omit the flag for the "
-                        "sequential engine)");
-    }
-  } else if (a == "--par-horizon") {
-    par.horizon_override = parse_u64(a, next());
-    if (par.horizon_override == 0) {
-      throw ConfigError("--par-horizon must be > 0");
-    }
   } else {
     return false;
   }
@@ -189,28 +168,10 @@ void ObsArgs::apply(SweepRequest& req) const {
   if (warm_quantum_set && !sampling.enabled) {
     throw ConfigError("--warm-quantum requires --sample");
   }
-  if (par.horizon_override != 0 && !par.enabled()) {
-    throw ConfigError("--par-horizon requires --par");
-  }
-  if (par.enabled()) {
-    // MachineSpec::validate would reject these per-row; failing here names
-    // the flags instead of the spec fields.
-    if (contention.enabled) {
-      throw ConfigError("--par is incompatible with --contention");
-    }
-    if (!trace_out.empty() || metrics_interval != 0) {
-      throw ConfigError(
-          "--par is incompatible with --trace-out / --metrics-interval "
-          "(observers assume a single global event order)");
-    }
-  }
   req.policy = policy;
   req.policy.faults = fault_plan ? fault_plan.get() : nullptr;
   if (sampling.enabled) {
     for (MachineSpec& cfg : req.configs) cfg.sampling = sampling;
-  }
-  if (par.enabled()) {
-    for (MachineSpec& cfg : req.configs) cfg.parallel = par;
   }
 }
 

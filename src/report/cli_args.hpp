@@ -40,9 +40,6 @@ double parse_f64(const std::string& flag, const std::string& val);
 ///   --warm-quantum N      warming runahead quantum (requires --sample)
 ///   --shard k/N           run only shard k of an N-way digest partition
 ///   --shard-out BASE      write BASE.csv/BASE.json merge artifacts
-///   --par N               conservative cluster-parallel execution with N
-///                         worker threads (results identical at every N)
-///   --par-horizon W       override the synchronization window width
 struct ObsArgs {
   std::string trace_out;
   Cycles metrics_interval = 0;
@@ -50,7 +47,6 @@ struct ObsArgs {
   std::string manifest_out;
   ContentionSpec contention{};  ///< .enabled set by --contention
   SamplingSpec sampling{};      ///< .enabled set by --sample
-  ParallelSpec par{};           ///< .workers set by --par
   bool warm_quantum_set = false;  ///< --warm-quantum given (needs --sample)
   SweepPolicy policy{};         ///< journal / deadline / retry knobs
   /// Owns the parsed --fault-plan; policy.faults points at it (apply()).

@@ -52,14 +52,10 @@ std::string_view to_string(RowOutcome::Status s) noexcept {
   return "unknown";
 }
 
-unsigned sweep_pool_width(std::size_t rows, unsigned row_threads,
-                          unsigned host_cores) noexcept {
-  const unsigned cores = std::max(1u, host_cores);
-  const unsigned per_row = std::max(1u, row_threads);
-  const unsigned cap = std::max(1u, cores / per_row);
+unsigned sweep_pool_width(std::size_t rows, unsigned host_cores) noexcept {
   if (rows == 0) return 1;
   return static_cast<unsigned>(
-      std::min<std::size_t>(cap, rows));
+      std::min<std::size_t>(std::max(1u, host_cores), rows));
 }
 
 SweepResult run_sweep(const SweepRequest& req) {
@@ -364,23 +360,12 @@ SweepResult run_sweep(const SweepRequest& req) {
   // cluster sizes x 2 organizations) previously spawned one thread per
   // configuration. Workers claim the next unstarted configuration from a
   // shared counter, so a long run steals no capacity from the short ones
-  // queued behind it. Rows running under the cluster-parallel engine bring
-  // their own threads, so the pool width is divided down until the
-  // pool x per-row product fits the host (sweep_pool_width) — results are
-  // unaffected, the engine is deterministic at every thread count.
+  // queued behind it. Each row is one single-threaded simulation, so the
+  // pool is as wide as the host (sweep_pool_width).
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const auto run_wave = [&](const std::vector<std::size_t>& wave) {
     if (wave.empty()) return;
-    unsigned row_threads = 1;
-    for (std::size_t i : wave) {
-      const MachineSpec& cfg = configs[i];
-      if (!cfg.parallel.enabled()) continue;
-      const unsigned w = std::max(
-          1u, std::min(cfg.parallel.workers, cfg.num_clusters()));
-      row_threads = std::max(row_threads, w);
-    }
-    const unsigned workers =
-        sweep_pool_width(wave.size(), row_threads, hw);
+    const unsigned workers = sweep_pool_width(wave.size(), hw);
     if (workers <= 1) {
       for (std::size_t i : wave) run_one(i);
       return;

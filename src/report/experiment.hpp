@@ -124,23 +124,16 @@ struct SweepResult {
   [[nodiscard]] std::size_t size() const noexcept { return rows.size(); }
 };
 
-/// Width of the sweep's row worker pool given `rows` runnable rows, each
-/// using up to `row_threads` threads (1 for sequential rows; a parallel
-/// row's effective engine worker count otherwise), on a host with
-/// `host_cores` cores: the pool is sized so pool x row_threads never
-/// exceeds the host — a 16-row sweep at --par 8 on an 8-core host runs
-/// one row at a time instead of requesting 128 threads. Always >= 1 (the
-/// calling thread), never wider than `rows`.
+/// Width of the sweep's row worker pool given `rows` runnable rows on a host
+/// with `host_cores` cores: one single-threaded row per core. Always >= 1
+/// (the calling thread), never wider than `rows`.
 [[nodiscard]] unsigned sweep_pool_width(std::size_t rows,
-                                        unsigned row_threads,
                                         unsigned host_cores) noexcept;
 
 /// Parallel map over the request's configurations: simulates a fresh app per
-/// configuration concurrently on a worker pool whose width times the
-/// per-row thread count is bounded at hardware_concurrency()
-/// (sweep_pool_width), preserving input order. Each simulation is
-/// deterministic at every thread count, so results are identical to a
-/// serial sweep.
+/// configuration concurrently on a worker pool bounded at
+/// hardware_concurrency() (sweep_pool_width), preserving input order. Each
+/// simulation is deterministic, so results are identical to a serial sweep.
 ///
 /// Degrades gracefully: a configuration whose run throws (bad config,
 /// deadlock, livelock, protocol violation, app bug) does not abort the

@@ -73,7 +73,6 @@ std::vector<MachineSpec> RunSpec::configs() const {
                       .style(style)
                       .runahead_quantum(quantum)
                       .model_shared_hit_costs(hit_costs)
-                      .parallel(parallel)
                       .contention(contention)
                       .build_unchecked());
   }
@@ -92,14 +91,7 @@ std::string RunSpec::to_json() const {
      << ",\"line_bytes\":" << line_bytes << ",\"style\":\""
      << (style == ClusterStyle::SharedMemory ? "memory" : "cache")
      << "\",\"quantum\":" << quantum << ",\"hit_costs\":"
-     << (hit_costs ? "true" : "false");
-  if (parallel.enabled()) {
-    os << ",\"parallel\":" << parallel.workers;
-    if (parallel.horizon_override != 0) {
-      os << ",\"par_horizon\":" << parallel.horizon_override;
-    }
-  }
-  os << '}';
+     << (hit_costs ? "true" : "false") << '}';
   return os.str();
 }
 
@@ -148,20 +140,13 @@ RunSpec RunSpec::from_json(const json::Value& v) {
   }
   spec.quantum = jsonreq::get_integer(v, "quantum", 32, 1, 1u << 30);
   spec.hit_costs = jsonreq::get_bool(v, "hit_costs", false);
-  spec.parallel.workers =
-      static_cast<unsigned>(jsonreq::get_integer(v, "parallel", 0, 0, 4096));
-  spec.parallel.horizon_override =
-      jsonreq::get_integer(v, "par_horizon", 0, 0, 1u << 30);
-  if (spec.parallel.horizon_override != 0 && !spec.parallel.enabled()) {
-    jsonreq::fail("field 'par_horizon' requires field 'parallel'");
-  }
   return spec;
 }
 
 const std::vector<std::string>& RunSpec::json_fields() {
   static const std::vector<std::string> fields = {
-      "app",        "scale", "procs",   "ppc",       "cache_kb", "assoc",
-      "line_bytes", "style", "quantum", "hit_costs", "parallel", "par_horizon"};
+      "app",   "scale",      "procs", "ppc",     "cache_kb",
+      "assoc", "line_bytes", "style", "quantum", "hit_costs"};
   return fields;
 }
 

@@ -48,10 +48,6 @@ struct RunSpec {
   ClusterStyle style = ClusterStyle::SharedCache;
   Cycles quantum = 32;
   bool hit_costs = false;
-  /// Conservative cluster-parallel execution (--par / "parallel"). The
-  /// worker count never changes results; the horizon does (and re-keys
-  /// config digests).
-  ParallelSpec parallel{};
   /// Queued-resource contention model (--contention; CLI-only — not part of
   /// the JSON schema, so to_json()/from_json() leave it at its default).
   ContentionSpec contention{};
@@ -65,7 +61,7 @@ struct RunSpec {
   [[nodiscard]] std::vector<MachineSpec> configs() const;
 
   /// Canonical JSON object of the service-visible fields (always every
-  /// field, sorted as declared; "parallel"/"par_horizon" only when set).
+  /// field, sorted as declared).
   [[nodiscard]] std::string to_json() const;
 
   /// Reads the service-visible fields out of a JSON object, applying this

@@ -87,6 +87,18 @@ TEST(MachineSpec, RejectsMoreThan64Clusters) {
   EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
+TEST(MachineSpec, ZeroBanksOnlyValidWhenNoModelUsesBanks) {
+  MachineSpec c = base();
+  c.banks_per_proc = 0;
+  EXPECT_NO_THROW(c.validate());
+  c.contention.enabled = true;
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+  c = base();
+  c.banks_per_proc = 0;
+  c.model_shared_hit_costs = true;
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+}
+
 TEST(MachineSpec, Label) {
   MachineSpec c = base();
   EXPECT_EQ(c.label(), "64p/4ppc/16KB");

@@ -79,35 +79,6 @@ TEST(PerfBaseline, CommittedBaselinePinsTheSampledSpeedup) {
   EXPECT_GE(ratio("end_to_end/shared_cache/ppc8/ocean_paper"), 8.0);
 }
 
-TEST(PerfBaseline, CommittedBaselinePinsParallelSingleWorkerOverhead) {
-  // The window engine at --par 1 runs the same simulation through windowed
-  // scheduling with no threads; epoch batching and window skipping must
-  // keep it within 10% of the sequential engine on the tracked ocean
-  // paper row (docs/PERFORMANCE.md "Cluster-parallel execution"). Also
-  // present: the par_scaling pair and the sampled-parallel composed row —
-  // their being in the committed baseline is what lets the CI gate watch
-  // them; the live multi-core ratio is asserted by ParScaling instead
-  // (baseline hosts may be single-core, where par4 degrades to par1).
-  const obs::PerfReport rep =
-      obs::load_perf_report_file(CSIM_SOURCE_DIR "/BENCH_perf.json");
-  const auto rate = [&](const std::string& name) {
-    for (const obs::PerfRow& r : rep.rows) {
-      if (r.name == name) return r.refs_per_sec;
-    }
-    ADD_FAILURE() << "row missing from BENCH_perf.json: " << name;
-    return 0.0;
-  };
-  const double seq = rate("end_to_end/shared_cache/ppc8/ocean_paper");
-  const double par1 = rate("end_to_end/shared_cache/ppc8/ocean_paper/par1");
-  ASSERT_GT(seq, 0.0);
-  EXPECT_GE(par1, 0.9 * seq)
-      << "par1 fell below 0.9x sequential: " << par1 << " vs " << seq;
-  EXPECT_GT(rate("end_to_end/shared_cache/ppc8/ocean_paper/par4/sampled"),
-            0.0);
-  EXPECT_GT(rate("par_scaling/par1"), 0.0);
-  EXPECT_GT(rate("par_scaling/par4"), 0.0);
-}
-
 TEST(PerfBaseline, RejectsEmptyAndMalformedReports) {
   EXPECT_THROW(parse("{}"), std::runtime_error);
   EXPECT_THROW(parse("not json at all"), std::runtime_error);

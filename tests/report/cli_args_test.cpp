@@ -68,11 +68,14 @@ TEST(ObsArgs, ConsumesTheSharedFlagGroup) {
 }
 
 TEST(ObsArgs, LeavesForeignFlagsAlone) {
-  ObsArgs o;
-  const char* argv[] = {"tool", "--procs", "64"};
-  int i = 1;
-  EXPECT_FALSE(o.consume(3, const_cast<char**>(argv), i));
-  EXPECT_EQ(i, 1);
+  // --par is not a flag: every run uses the one sequential engine.
+  for (const char* flag : {"--procs", "--par"}) {
+    ObsArgs o;
+    const char* argv[] = {"tool", flag, "64"};
+    int i = 1;
+    EXPECT_FALSE(o.consume(3, const_cast<char**>(argv), i)) << flag;
+    EXPECT_EQ(i, 1);
+  }
 }
 
 TEST(ObsArgs, ContentionFlagEnablesDefaults) {
@@ -219,59 +222,6 @@ TEST(ObsArgs, ApplyRejectsResumeWithoutJournalDir) {
   EXPECT_THROW(o.apply(req), ConfigError);
 }
 
-TEST(ObsArgs, ParFlagsReachEveryRowSpec) {
-  const ObsArgs o = parse_all({"--par", "4", "--par-horizon", "60"});
-  EXPECT_EQ(o.par.workers, 4u);
-  EXPECT_EQ(o.par.horizon_override, 60u);
-  SweepRequest req;
-  req.configs.push_back(MachineSpecBuilder{}.procs(16).build());
-  req.configs.push_back(
-      MachineSpecBuilder{}.procs(16).procs_per_cluster(4).build());
-  o.apply(req);
-  for (const MachineSpec& cfg : req.configs) {
-    EXPECT_EQ(cfg.parallel.workers, 4u);
-    EXPECT_EQ(cfg.parallel.horizon_override, 60u);
-  }
-}
-
-TEST(ObsArgs, ParFlagRejectsContradictions) {
-  {
-    // --par 0 means "sequential" — reject it rather than guess.
-    ObsArgs o;
-    const char* argv[] = {"tool", "--par", "0"};
-    int i = 1;
-    EXPECT_THROW((void)o.consume(3, const_cast<char**>(argv), i), ConfigError);
-  }
-  {
-    ObsArgs o;
-    const char* argv[] = {"tool", "--par-horizon", "0"};
-    int i = 1;
-    EXPECT_THROW((void)o.consume(3, const_cast<char**>(argv), i), ConfigError);
-  }
-  // --par-horizon without --par, and --par with features that assume a
-  // single global event order, all fail at apply() with a ConfigError.
-  // (--sample is absent: interval sampling composes with --par.)
-  for (const std::vector<const char*>& args :
-       {std::vector<const char*>{"--par-horizon", "60"},
-        std::vector<const char*>{"--par", "2", "--contention"},
-        std::vector<const char*>{"--par", "2", "--trace-out", "t.json"},
-        std::vector<const char*>{"--par", "2", "--metrics-interval", "100"}}) {
-    const ObsArgs o = parse_all(args);
-    SweepRequest req;
-    req.configs.push_back(MachineSpecBuilder{}.procs(16).build());
-    EXPECT_THROW(o.apply(req), ConfigError) << args[0];
-  }
-  {
-    // Sampling x parallel is a supported composition: apply() must accept it.
-    const ObsArgs o = parse_all({"--par", "2", "--sample", "1,1,4096"});
-    SweepRequest req;
-    req.configs.push_back(MachineSpecBuilder{}.procs(16).build());
-    EXPECT_NO_THROW(o.apply(req));
-    EXPECT_TRUE(req.configs.at(0).sampling.enabled);
-    EXPECT_EQ(req.configs.at(0).parallel.workers, 2u);
-  }
-}
-
 TEST(ObsArgs, ObserverFactoryOnlyWhenObservabilityRequested) {
   EXPECT_FALSE(static_cast<bool>(ObsArgs{}.observer_factory(3)));
   ObsArgs traced;
@@ -285,7 +235,7 @@ TEST(ObsArgs, UsageDocumentsEveryFlag) {
        {"--trace-out", "--metrics-interval", "--metrics-out", "--manifest",
         "--contention", "--contention-busy", "--journal-dir", "--resume",
         "--row-deadline", "--retries", "--fault-plan", "--sample",
-        "--ckpt-dir", "--warm-quantum", "--par", "--par-horizon"}) {
+        "--ckpt-dir", "--warm-quantum"}) {
     EXPECT_NE(u.find(flag), std::string::npos) << flag;
   }
 }

@@ -36,21 +36,7 @@ TEST(RunSpec, EveryFieldRoundTripsThroughJson) {
   spec.style = ClusterStyle::SharedMemory;
   spec.quantum = 1;
   spec.hit_costs = true;
-  spec.parallel.workers = 4;
-  spec.parallel.horizon_override = 60;
   EXPECT_EQ(roundtrip(spec), spec);
-}
-
-TEST(RunSpec, ParallelOmittedFromJsonWhenDisabled) {
-  // A sequential spec serializes without the parallel keys, so documents
-  // written before the parallel engine existed and documents written now
-  // are byte-compatible in both directions.
-  const RunSpec spec;
-  EXPECT_EQ(spec.to_json().find("parallel"), std::string::npos);
-  RunSpec par = spec;
-  par.parallel.workers = 2;
-  EXPECT_NE(par.to_json().find("\"parallel\":2"), std::string::npos);
-  EXPECT_EQ(par.to_json().find("par_horizon"), std::string::npos);
 }
 
 TEST(RunSpec, ConfigsBuildOneRowPerClusterSize) {
@@ -58,7 +44,6 @@ TEST(RunSpec, ConfigsBuildOneRowPerClusterSize) {
   spec.procs = 16;
   spec.ppcs = {1, 4};
   spec.cache_kb = 16;
-  spec.parallel.workers = 4;
   const std::vector<MachineSpec> rows = spec.configs();
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].procs_per_cluster, 1u);
@@ -66,7 +51,6 @@ TEST(RunSpec, ConfigsBuildOneRowPerClusterSize) {
   for (const MachineSpec& cfg : rows) {
     EXPECT_EQ(cfg.num_procs, 16u);
     EXPECT_EQ(cfg.cache.per_proc_bytes, 16u * 1024);
-    EXPECT_EQ(cfg.parallel.workers, 4u);
   }
 }
 
@@ -76,7 +60,7 @@ TEST(RunSpec, SameSpecSameRows) {
   RunSpec spec;
   spec.app = "fft";
   spec.cache_kb = 16;
-  spec.parallel.workers = 2;
+  spec.hit_costs = true;
   const RunSpec again = roundtrip(spec);
   EXPECT_EQ(spec.configs(), again.configs());
 }
@@ -84,9 +68,6 @@ TEST(RunSpec, SameSpecSameRows) {
 TEST(RunSpec, FromJsonRejectsContradictions) {
   EXPECT_THROW((void)RunSpec::from_json(json::parse("{\"app\": \"nope\"}")),
                ConfigError);
-  EXPECT_THROW(
-      (void)RunSpec::from_json(json::parse("{\"par_horizon\": 60}")),
-      ConfigError);
   EXPECT_THROW((void)RunSpec::from_json(json::parse("7")), ConfigError);
 }
 

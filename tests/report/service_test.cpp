@@ -90,23 +90,10 @@ TEST(ServiceRequestParse, RejectsBadRequests) {
   EXPECT_THROW((void)parse("{\"ppc\": [-1]}"), ConfigError);    // negative
   EXPECT_THROW((void)parse("{\"style\": \"hybrid\"}"), ConfigError);
   EXPECT_THROW((void)parse("{\"typo_field\": 1}"), ConfigError);
-  EXPECT_THROW((void)parse("[1, 2]"), ConfigError);  // not an object
-}
-
-TEST(ServiceRequestParse, ParallelFieldsReachTheRowSpecs) {
-  const serve::ServiceRequest req =
-      parse("{\"app\": \"fft\", \"parallel\": 4, \"par_horizon\": 60}");
-  EXPECT_EQ(req.parallel.workers, 4u);
-  EXPECT_EQ(req.parallel.horizon_override, 60u);
-  for (const MachineSpec& cfg : serve::configs_from_request(req)) {
-    EXPECT_EQ(cfg.parallel.workers, 4u);
-    EXPECT_EQ(cfg.parallel.horizon_override, 60u);
-  }
-  // Omitted = sequential engine, exactly as before the field existed.
-  EXPECT_FALSE(parse("{}").parallel.enabled());
-  // par_horizon without parallel is a contradiction, not a silent no-op.
+  // Not request fields: every run uses the one sequential engine.
+  EXPECT_THROW((void)parse("{\"parallel\": 4}"), ConfigError);
   EXPECT_THROW((void)parse("{\"par_horizon\": 60}"), ConfigError);
-  EXPECT_THROW((void)parse("{\"parallel\": -1}"), ConfigError);
+  EXPECT_THROW((void)parse("[1, 2]"), ConfigError);  // not an object
 }
 
 // --- result cache -----------------------------------------------------------

@@ -1,12 +1,10 @@
 // csim_serve: the sweep-service daemon (docs/SERVICE.md). Accepts newline-
 // framed JSON sweep requests over a local AF_UNIX socket, schedules rows on
-// the shared worker pool via run_sweep — which also owns the host thread
-// budget: rows running the cluster-parallel engine bring their own worker
-// threads, and the row pool is narrowed until pool x per-row threads fits
-// the host (sweep_pool_width) — streams `row` response lines as rows
-// complete, and memoizes results in a two-tier digest-keyed cache (memory in
-// front of the write-ahead journal directory) so a repeated request is served
-// without simulating.
+// the shared worker pool via run_sweep (one row per host core,
+// sweep_pool_width), streams `row` response lines as rows complete, and
+// memoizes results in a two-tier digest-keyed cache (memory in front of the
+// write-ahead journal directory) so a repeated request is served without
+// simulating.
 //
 //   csim_serve --socket /tmp/csim.sock --journal-dir jdir &
 //   tools/serve_client.py /tmp/csim.sock '{"app":"fft","scale":"test"}'
