@@ -86,7 +86,7 @@ void BM_CoherenceReadHit(benchmark::State& state) {
   cfg.cache.per_proc_bytes = 0;
   AddressSpace as;
   const Addr base = as.alloc(1 << 20, "bench");
-  CoherenceController coh(cfg, as);
+  CoherenceController coh(std::make_shared<const MachineSpec>(cfg), as);
   (void)coh.read(0, base, 0);  // warm the line
   Cycles now = 1;
   for (auto _ : state) {
@@ -103,7 +103,7 @@ void BM_CoherenceCommunicationMiss(benchmark::State& state) {
   cfg.cache.per_proc_bytes = 0;
   AddressSpace as;
   const Addr base = as.alloc(1 << 20, "bench");
-  CoherenceController coh(cfg, as);
+  CoherenceController coh(std::make_shared<const MachineSpec>(cfg), as);
   Cycles now = 0;
   for (auto _ : state) {
     // Write from cluster 0 invalidates, read from cluster 1 misses.

@@ -168,25 +168,18 @@ int main(int argc, char** argv) {
     const SweepResult sweep = run_sweep(req);
     if (!obs_args.manifest_out.empty()) {
       // Manifests include failed rows (error kind instead of statistics).
-      // A sharded run writes the /5 schema (shard spec + cache hits); with
-      // a crash-safety policy engaged, the /4 schema adds per-row
-      // outcomes; otherwise the /3 document is byte-identical to before.
+      obs::SweepProvenance prov;
+      prov.rows_total = sweep.rows.size();
       if (obs_args.shard_set) {
-        obs::SweepProvenance prov;
         prov.shard_index = obs_args.shard.index;
         prov.shard_count = obs_args.shard.count;
         prov.rows_total = sel.rows_total;
-        for (const RowOutcome& o : sweep.outcomes) {
-          if (o.from_journal) ++prov.cache_hits;
-        }
-        obs::write_run_manifest_file(obs_args.manifest_out, "csim_cli", sweep,
-                                     prov);
-      } else if (policy_active) {
-        obs::write_run_manifest_file(obs_args.manifest_out, "csim_cli", sweep);
-      } else {
-        obs::write_run_manifest_file(obs_args.manifest_out, "csim_cli",
-                                     sweep.rows);
       }
+      for (const RowOutcome& o : sweep.outcomes) {
+        if (o.from_journal) ++prov.cache_hits;
+      }
+      obs::write_run_manifest_file(obs_args.manifest_out, "csim_cli", sweep,
+                                   prov);
       std::printf("wrote manifest %s (sweep digest %s)\n",
                   obs_args.manifest_out.c_str(),
                   obs::digest_hex(obs::sweep_digest(sweep.rows)).c_str());

@@ -59,18 +59,13 @@ class StackDistance {
 /// cluster-level (overlapped) working sets.
 class WorkingSetProfiler final : public MemorySystem {
  public:
-  /// Primary constructor: shares the run's immutable spec (the same object
-  /// the Simulator and memory systems see).
+  /// Shares the run's immutable spec (the same object the Simulator and
+  /// memory systems see).
   explicit WorkingSetProfiler(std::shared_ptr<const MachineSpec> spec)
       : spec_(std::move(spec)),
         cfg_(*spec_),
         units_(cfg_.num_clusters()),
         counters_(cfg_.num_clusters()) {}
-
-  /// Legacy convenience: wraps `cfg` in a fresh shared spec (still safe
-  /// against temporary config expressions).
-  explicit WorkingSetProfiler(const MachineSpec& cfg)
-      : WorkingSetProfiler(std::make_shared<const MachineSpec>(cfg)) {}
 
   AccessResult read(ProcId p, Addr a, Cycles now) override;
   AccessResult write(ProcId p, Addr a, Cycles now) override;

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "src/core/record_file.hpp"
+
 namespace csim {
 
 namespace {
@@ -243,16 +245,13 @@ SimTask RaytraceApp::body(Proc& p) {
 }
 
 std::uint64_t RaytraceApp::image_checksum() const {
-  std::uint64_t h = 1469598103934665603ULL;
+  Fnv1a h;
   for (float v : image_) {
     const auto q = static_cast<std::uint32_t>(
         std::lround(static_cast<double>(v) * 4096.0));
-    for (int b = 0; b < 4; ++b) {
-      h ^= (q >> (8 * b)) & 0xff;
-      h *= 1099511628211ULL;
-    }
+    for (int b = 0; b < 4; ++b) h.byte(static_cast<std::uint8_t>(q >> (8 * b)));
   }
-  return h;
+  return h.h;
 }
 
 void RaytraceApp::verify() const {

@@ -213,10 +213,6 @@ struct MachineSpec {
   bool operator==(const MachineSpec&) const = default;
 };
 
-/// Legacy name, kept for downstream source compatibility; new code should
-/// spell it MachineSpec.
-using MachineConfig = MachineSpec;
-
 /// Builder-style construction path for MachineSpec: the single way drivers
 /// (csim_cli, perf_micro, the examples) and tests assemble configurations.
 /// Every setter returns *this for chaining; build() validates and returns a

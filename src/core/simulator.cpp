@@ -11,8 +11,8 @@
 #include "src/core/event_queue.hpp"
 #include "src/core/sampling.hpp"
 #include "src/core/sync.hpp"
-#include "src/mem/clustered_memory.hpp"
-#include "src/mem/coherence.hpp"
+#include "src/mem/address_space.hpp"
+#include "src/mem/memory_system.hpp"
 #include "src/mem/warm_state.hpp"
 #include "src/obs/manifest.hpp"
 #include "src/obs/observer.hpp"
@@ -226,13 +226,7 @@ SimResult Simulator::run(Program& prog, MemorySystem* memory_override) {
   queue.set_budget(EventQueue::Budget{cfg_.max_cycles, cfg_.max_events,
                                       cfg_.no_progress_events});
   std::unique_ptr<MemorySystem> mem;
-  if (memory_override == nullptr) {
-    if (cfg_.cluster_style == ClusterStyle::SharedMemory) {
-      mem = std::make_unique<ClusteredMemorySystem>(spec_, as);
-    } else {
-      mem = std::make_unique<CoherenceController>(spec_, as);
-    }
-  }
+  if (memory_override == nullptr) mem = make_memory_system(spec_, as);
   MemorySystem& coh = memory_override ? *memory_override : *mem;
 
   std::vector<std::unique_ptr<Proc>> procs;

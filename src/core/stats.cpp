@@ -3,24 +3,7 @@
 namespace csim {
 
 MissCounters& MissCounters::operator+=(const MissCounters& o) noexcept {
-  reads += o.reads;
-  writes += o.writes;
-  read_hits += o.read_hits;
-  write_hits += o.write_hits;
-  read_misses += o.read_misses;
-  write_misses += o.write_misses;
-  upgrade_misses += o.upgrade_misses;
-  merges += o.merges;
-  cold_misses += o.cold_misses;
-  invalidations += o.invalidations;
-  evictions += o.evictions;
-  snoop_transfers += o.snoop_transfers;
-  cluster_memory_hits += o.cluster_memory_hits;
-  bus_invalidations += o.bus_invalidations;
-  bank_conflicts += o.bank_conflicts;
-  bank_wait_cycles += o.bank_wait_cycles;
-  dir_wait_cycles += o.dir_wait_cycles;
-  nic_wait_cycles += o.nic_wait_cycles;
+  for (const auto field : kMissCounterFields) this->*field += o.*field;
   for (unsigned i = 0; i < kNumLatencyClasses; ++i) by_class[i] += o.by_class[i];
   return *this;
 }

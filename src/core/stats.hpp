@@ -73,6 +73,24 @@ struct MissCounters {
   }
 };
 
+/// Every scalar MissCounters field, in the one order that operator+=, the
+/// result digest (src/obs/manifest.hpp) and the record files
+/// (src/core/record_file.hpp) walk; `by_class` follows them. The order is
+/// part of every result digest and of the on-disk record layout.
+inline constexpr std::uint64_t MissCounters::*kMissCounterFields[] = {
+    &MissCounters::reads, &MissCounters::writes, &MissCounters::read_hits,
+    &MissCounters::write_hits, &MissCounters::read_misses,
+    &MissCounters::write_misses, &MissCounters::upgrade_misses,
+    &MissCounters::merges, &MissCounters::cold_misses,
+    &MissCounters::invalidations, &MissCounters::evictions,
+    &MissCounters::snoop_transfers, &MissCounters::cluster_memory_hits,
+    &MissCounters::bus_invalidations, &MissCounters::bank_conflicts,
+    &MissCounters::bank_wait_cycles, &MissCounters::dir_wait_cycles,
+    &MissCounters::nic_wait_cycles};
+static_assert(sizeof(MissCounters) ==
+                  8 * (std::size(kMissCounterFields) + kNumLatencyClasses),
+              "a MissCounters field is missing from kMissCounterFields");
+
 /// Result of one simulation run. A failed run (captured by run_sweep's
 /// graceful degradation) has ok == false, empty statistics, and the error
 /// fields describing the SimError that killed it.

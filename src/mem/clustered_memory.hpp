@@ -42,15 +42,11 @@ class ContentionModel;
 
 class ClusteredMemorySystem final : public MemorySystem {
  public:
-  /// Primary constructor: the run's shared immutable spec (no per-class
-  /// config copy; every component of a run sees the same MachineSpec).
+  /// Takes the run's shared immutable spec (no per-class config copy; every
+  /// component of a run sees the same MachineSpec). Simulator::run builds
+  /// one through make_memory_system (src/mem/memory_system.hpp).
   ClusteredMemorySystem(std::shared_ptr<const MachineSpec> spec,
                         const AddressSpace& as);
-
-  /// Legacy convenience: wraps `cfg` in a fresh shared spec (still safe
-  /// against temporary config expressions).
-  ClusteredMemorySystem(const MachineSpec& cfg, const AddressSpace& as)
-      : ClusteredMemorySystem(std::make_shared<const MachineSpec>(cfg), as) {}
 
   // Out of line: ContentionModel is only forward-declared here.
   ~ClusteredMemorySystem() override;

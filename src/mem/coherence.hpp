@@ -33,15 +33,11 @@ class ContentionModel;
 
 class CoherenceController final : public MemorySystem {
  public:
-  /// Primary constructor: the run's shared immutable spec (no per-class
-  /// config copy; every component of a run sees the same MachineSpec).
+  /// Takes the run's shared immutable spec (no per-class config copy; every
+  /// component of a run sees the same MachineSpec). Simulator::run builds
+  /// one through make_memory_system (src/mem/memory_system.hpp).
   CoherenceController(std::shared_ptr<const MachineSpec> spec,
                       const AddressSpace& as);
-
-  /// Legacy convenience: wraps `cfg` in a fresh shared spec (still safe
-  /// against temporary config expressions).
-  CoherenceController(const MachineSpec& cfg, const AddressSpace& as)
-      : CoherenceController(std::make_shared<const MachineSpec>(cfg), as) {}
 
   // Out of line: ContentionModel is only forward-declared here.
   ~CoherenceController() override;

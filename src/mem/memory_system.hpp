@@ -11,12 +11,14 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "src/core/stats.hpp"
 #include "src/core/types.hpp"
 
 namespace csim {
 
+class AddressSpace;
 class CacheStorage;
 class Observer;
 struct WarmState;
@@ -147,5 +149,11 @@ class MemorySystem {
  protected:
   Observer* obs_ = nullptr;  ///< invalidation / store-stall hook sink
 };
+
+/// The memory system of `spec`'s organization (`cluster_style`): a
+/// CoherenceController for shared-cache clusters, a ClusteredMemorySystem
+/// for shared-main-memory clusters, over `as`.
+[[nodiscard]] std::unique_ptr<MemorySystem> make_memory_system(
+    std::shared_ptr<const MachineSpec> spec, const AddressSpace& as);
 
 }  // namespace csim

@@ -1,194 +1,80 @@
 #include "src/mem/warm_state.hpp"
 
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <system_error>
 #include <unordered_map>
+#include <utility>
 
-#include "src/core/atomic_file.hpp"
+#include "src/core/record_file.hpp"
 
 namespace csim {
 
 namespace {
 
-constexpr char kMagic[4] = {'C', 'S', 'C', 'K'};
-constexpr std::uint8_t kVersion = 1;
-// magic(4) + version(1) + payload_len(8) + payload_fnv(8)
-constexpr std::size_t kFrameHeaderBytes = 4 + 1 + 8 + 8;
 // Warm state scales with cache capacity + directory size; a multi-GB length
 // is a corrupt field, not a real checkpoint.
-constexpr std::uint64_t kMaxPayloadBytes = 1u << 30;
-
-// Same FNV-1a as obs::fnv1a; duplicated locally so src/mem does not grow a
-// dependency on the obs layer.
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_counters(std::string& out, const MissCounters& c) {
-  put_u64(out, c.reads);
-  put_u64(out, c.writes);
-  put_u64(out, c.read_hits);
-  put_u64(out, c.write_hits);
-  put_u64(out, c.read_misses);
-  put_u64(out, c.write_misses);
-  put_u64(out, c.upgrade_misses);
-  put_u64(out, c.merges);
-  put_u64(out, c.cold_misses);
-  put_u64(out, c.invalidations);
-  put_u64(out, c.evictions);
-  put_u64(out, c.snoop_transfers);
-  put_u64(out, c.cluster_memory_hits);
-  put_u64(out, c.bus_invalidations);
-  put_u64(out, c.bank_conflicts);
-  put_u64(out, c.bank_wait_cycles);
-  put_u64(out, c.dir_wait_cycles);
-  put_u64(out, c.nic_wait_cycles);
-  for (std::uint64_t v : c.by_class) put_u64(out, v);
-}
-
-/// Bounds-checked little-endian reader (the journal.cpp pattern).
-struct Reader {
-  std::string_view buf;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  std::uint8_t u8() {
-    if (pos + 1 > buf.size()) {
-      ok = false;
-      return 0;
-    }
-    return static_cast<std::uint8_t>(buf[pos++]);
-  }
-  std::uint64_t u64() {
-    if (pos + 8 > buf.size()) {
-      ok = false;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[pos + i]))
-           << (8 * i);
-    }
-    pos += 8;
-    return v;
-  }
-  std::string str(std::uint64_t n) {
-    if (n > buf.size() - pos) {
-      ok = false;
-      return {};
-    }
-    std::string s(buf.substr(pos, n));
-    pos += n;
-    return s;
-  }
-  MissCounters counters() {
-    MissCounters c;
-    c.reads = u64();
-    c.writes = u64();
-    c.read_hits = u64();
-    c.write_hits = u64();
-    c.read_misses = u64();
-    c.write_misses = u64();
-    c.upgrade_misses = u64();
-    c.merges = u64();
-    c.cold_misses = u64();
-    c.invalidations = u64();
-    c.evictions = u64();
-    c.snoop_transfers = u64();
-    c.cluster_memory_hits = u64();
-    c.bus_invalidations = u64();
-    c.bank_conflicts = u64();
-    c.bank_wait_cycles = u64();
-    c.dir_wait_cycles = u64();
-    c.nic_wait_cycles = u64();
-    for (std::uint64_t& v : c.by_class) v = u64();
-    return c;
-  }
-  /// Guard for a count of `per_entry`-byte records against remaining bytes.
-  bool fits(std::uint64_t n, std::size_t per_entry) {
-    const std::size_t remaining = buf.size() - std::min(pos, buf.size());
-    if (per_entry != 0 && n > remaining / per_entry) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-};
+constexpr RecordFormat kFormat{.name = "warm-state",
+                               .magic = "CSCK",
+                               .min_version = 1,
+                               .version = 1,
+                               .max_payload = 1u << 30,
+                               .extension = ".csc"};
 
 std::string encode_payload(const WarmState& ws) {
-  std::string p;
-  p.reserve(512 + ws.directory.size() * 17 + ws.touched_lines.size() * 8);
-  put_u64(p, ws.warm_digest);
-  put_u64(p, ws.app_name.size());
-  p.append(ws.app_name);
-  put_u8(p, ws.scale);
-  put_u64(p, ws.num_procs);
-  put_u64(p, ws.procs_per_cluster);
-  put_u8(p, ws.cluster_style);
-  put_u64(p, ws.warmup_refs);
-  put_u64(p, ws.proc_now.size());
-  for (std::uint64_t v : ws.proc_now) put_u64(p, v);
-  put_u64(p, ws.counters.size());
-  for (const MissCounters& c : ws.counters) put_counters(p, c);
-  put_u64(p, ws.touched_lines.size());
-  for (Addr a : ws.touched_lines) put_u64(p, a);
-  put_u64(p, ws.home_rr_next);
-  put_u64(p, ws.homes.size());
+  RecordWriter w;
+  w.out.reserve(512 + ws.directory.size() * 17 + ws.touched_lines.size() * 8);
+  w.u64(ws.warm_digest);
+  w.str(ws.app_name);
+  w.u8(ws.scale);
+  w.u64(ws.num_procs);
+  w.u64(ws.procs_per_cluster);
+  w.u8(ws.cluster_style);
+  w.u64(ws.warmup_refs);
+  w.u64(ws.proc_now.size());
+  for (std::uint64_t v : ws.proc_now) w.u64(v);
+  w.u64(ws.counters.size());
+  for (const MissCounters& c : ws.counters) w.counters(c);
+  w.u64(ws.touched_lines.size());
+  for (Addr a : ws.touched_lines) w.u64(a);
+  w.u64(ws.home_rr_next);
+  w.u64(ws.homes.size());
   for (const auto& [page, home] : ws.homes) {
-    put_u64(p, page);
-    put_u64(p, home);
+    w.u64(page);
+    w.u64(home);
   }
-  put_u64(p, ws.directory.size());
+  w.u64(ws.directory.size());
   for (const WarmDirLine& d : ws.directory) {
-    put_u64(p, d.line);
-    put_u8(p, d.state);
-    put_u64(p, d.sharers);
+    w.u64(d.line);
+    w.u8(d.state);
+    w.u64(d.sharers);
   }
-  put_u64(p, ws.caches.size());
+  w.u64(ws.caches.size());
   for (const auto& cache : ws.caches) {
-    put_u64(p, cache.size());
+    w.u64(cache.size());
     for (const WarmCacheLine& l : cache) {
-      put_u64(p, l.line);
-      put_u8(p, l.state);
+      w.u64(l.line);
+      w.u8(l.state);
     }
   }
-  put_u64(p, ws.attraction.size());
+  w.u64(ws.attraction.size());
   for (const auto& cluster : ws.attraction) {
-    put_u64(p, cluster.size());
+    w.u64(cluster.size());
     for (const WarmAttractionLine& l : cluster) {
-      put_u64(p, l.line);
-      put_u64(p, l.proc_copies);
-      put_u8(p, l.cluster_exclusive);
+      w.u64(l.line);
+      w.u64(l.proc_copies);
+      w.u8(l.cluster_exclusive);
     }
   }
-  return p;
+  return std::move(w.out);
 }
 
 bool decode_payload(std::string_view payload, WarmState& ws,
                     std::string& why) {
-  Reader r{payload};
+  RecordReader r(payload);
   ws.warm_digest = r.u64();
-  ws.app_name = r.str(r.u64());
+  ws.app_name = r.str();
   ws.scale = r.u8();
   ws.num_procs = static_cast<std::uint32_t>(r.u64());
   ws.procs_per_cluster = static_cast<std::uint32_t>(r.u64());
@@ -200,16 +86,16 @@ bool decode_payload(std::string_view payload, WarmState& ws,
     return false;
   }
   ws.proc_now.reserve(nproc);
-  for (std::uint64_t i = 0; i < nproc && r.ok; ++i) {
+  for (std::uint64_t i = 0; i < nproc && r.ok(); ++i) {
     ws.proc_now.push_back(r.u64());
   }
   const std::uint64_t nclust = r.u64();
-  if (!r.fits(nclust, 176)) {
+  if (!r.fits(nclust, kCountersRecordBytes)) {
     why = "counter count exceeds payload";
     return false;
   }
   ws.counters.reserve(nclust);
-  for (std::uint64_t i = 0; i < nclust && r.ok; ++i) {
+  for (std::uint64_t i = 0; i < nclust && r.ok(); ++i) {
     ws.counters.push_back(r.counters());
   }
   const std::uint64_t ntouched = r.u64();
@@ -218,7 +104,7 @@ bool decode_payload(std::string_view payload, WarmState& ws,
     return false;
   }
   ws.touched_lines.reserve(ntouched);
-  for (std::uint64_t i = 0; i < ntouched && r.ok; ++i) {
+  for (std::uint64_t i = 0; i < ntouched && r.ok(); ++i) {
     ws.touched_lines.push_back(r.u64());
   }
   ws.home_rr_next = r.u64();
@@ -228,7 +114,7 @@ bool decode_payload(std::string_view payload, WarmState& ws,
     return false;
   }
   ws.homes.reserve(nhomes);
-  for (std::uint64_t i = 0; i < nhomes && r.ok; ++i) {
+  for (std::uint64_t i = 0; i < nhomes && r.ok(); ++i) {
     const Addr page = r.u64();
     ws.homes.emplace_back(page, static_cast<std::uint32_t>(r.u64()));
   }
@@ -238,7 +124,7 @@ bool decode_payload(std::string_view payload, WarmState& ws,
     return false;
   }
   ws.directory.reserve(ndir);
-  for (std::uint64_t i = 0; i < ndir && r.ok; ++i) {
+  for (std::uint64_t i = 0; i < ndir && r.ok(); ++i) {
     WarmDirLine d;
     d.line = r.u64();
     d.state = r.u8();
@@ -251,7 +137,7 @@ bool decode_payload(std::string_view payload, WarmState& ws,
     return false;
   }
   ws.caches.reserve(ncaches);
-  for (std::uint64_t i = 0; i < ncaches && r.ok; ++i) {
+  for (std::uint64_t i = 0; i < ncaches && r.ok(); ++i) {
     const std::uint64_t nlines = r.u64();
     if (!r.fits(nlines, 9)) {
       why = "cache-line count exceeds payload";
@@ -259,7 +145,7 @@ bool decode_payload(std::string_view payload, WarmState& ws,
     }
     std::vector<WarmCacheLine> cache;
     cache.reserve(nlines);
-    for (std::uint64_t j = 0; j < nlines && r.ok; ++j) {
+    for (std::uint64_t j = 0; j < nlines && r.ok(); ++j) {
       WarmCacheLine l;
       l.line = r.u64();
       l.state = r.u8();
@@ -273,7 +159,7 @@ bool decode_payload(std::string_view payload, WarmState& ws,
     return false;
   }
   ws.attraction.reserve(nattr);
-  for (std::uint64_t i = 0; i < nattr && r.ok; ++i) {
+  for (std::uint64_t i = 0; i < nattr && r.ok(); ++i) {
     const std::uint64_t nlines = r.u64();
     if (!r.fits(nlines, 17)) {
       why = "attraction-line count exceeds payload";
@@ -281,7 +167,7 @@ bool decode_payload(std::string_view payload, WarmState& ws,
     }
     std::vector<WarmAttractionLine> cluster;
     cluster.reserve(nlines);
-    for (std::uint64_t j = 0; j < nlines && r.ok; ++j) {
+    for (std::uint64_t j = 0; j < nlines && r.ok(); ++j) {
       WarmAttractionLine l;
       l.line = r.u64();
       l.proc_copies = r.u64();
@@ -290,22 +176,7 @@ bool decode_payload(std::string_view payload, WarmState& ws,
     }
     ws.attraction.push_back(std::move(cluster));
   }
-  if (!r.ok) {
-    why = "payload truncated mid-field";
-    return false;
-  }
-  if (r.pos != payload.size()) {
-    why = "trailing bytes after payload";
-    return false;
-  }
-  return true;
-}
-
-std::string digest_hex16(std::uint64_t digest) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(digest));
-  return buf;
+  return r.finish(why);
 }
 
 // In-process cache of decoded checkpoints, keyed by path and validated
@@ -357,57 +228,25 @@ std::shared_ptr<const WarmState> warm_cache_get(const std::string& path) {
 }  // namespace
 
 std::string encode_warm_state(const WarmState& ws) {
-  const std::string payload = encode_payload(ws);
-  std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  out.append(kMagic, 4);
-  put_u8(out, kVersion);
-  put_u64(out, payload.size());
-  put_u64(out, fnv1a(payload));
-  out.append(payload);
-  return out;
+  return encode_frame(kFormat, encode_payload(ws));
 }
 
 WarmLoad decode_warm_state(std::string_view bytes,
                            const std::string& origin) {
   WarmLoad out;
   const auto warn = [&](const std::string& what) {
-    out.warnings.push_back("warm-state: " + origin + ": " + what);
+    out.warnings.push_back("warm-state: " + origin + ": " + what +
+                           " (checkpoint ignored)");
   };
-  if (bytes.size() < kFrameHeaderBytes) {
-    warn("truncated frame header (checkpoint ignored)");
-    return out;
-  }
-  if (bytes.compare(0, 4, kMagic, 4) != 0) {
-    warn("bad magic (checkpoint ignored)");
-    return out;
-  }
-  const std::uint8_t version = static_cast<std::uint8_t>(bytes[4]);
-  Reader hdr{bytes.substr(5, 16)};
-  const std::uint64_t payload_len = hdr.u64();
-  const std::uint64_t payload_fnv = hdr.u64();
-  if (version != kVersion) {
-    warn("unsupported version " + std::to_string(version) +
-         " (checkpoint ignored)");
-    return out;
-  }
-  if (payload_len > kMaxPayloadBytes ||
-      payload_len != bytes.size() - kFrameHeaderBytes) {
-    warn("truncated record: declares " + std::to_string(payload_len) +
-         " payload bytes, " +
-         std::to_string(bytes.size() - kFrameHeaderBytes) +
-         " available (checkpoint ignored)");
-    return out;
-  }
-  const std::string_view payload = bytes.substr(kFrameHeaderBytes);
-  if (fnv1a(payload) != payload_fnv) {
-    warn("checksum mismatch (checkpoint ignored)");
+  const Frame frame = decode_frame(kFormat, bytes, FrameFit::Exact);
+  if (!frame.ok()) {
+    warn(frame.error);
     return out;
   }
   WarmState ws;
   std::string why;
-  if (!decode_payload(payload, ws, why)) {
-    warn(why + " (checkpoint ignored)");
+  if (!decode_payload(frame.payload, ws, why)) {
+    warn(why);
     return out;
   }
   out.state = std::move(ws);
@@ -415,19 +254,12 @@ WarmLoad decode_warm_state(std::string_view bytes,
 }
 
 std::string warm_state_path(const std::string& dir, std::uint64_t digest) {
-  return (std::filesystem::path(dir) / (digest_hex16(digest) + ".csc"))
-      .string();
+  return record_path(kFormat, dir, digest);
 }
 
 void save_warm_state(const std::string& dir, const WarmState& ws) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    throw std::runtime_error("warm-state: cannot create " + dir + ": " +
-                             ec.message());
-  }
-  const std::string path = warm_state_path(dir, ws.warm_digest);
-  atomic_write_file(path, encode_warm_state(ws));
+  const std::string path =
+      write_record_file(kFormat, dir, ws.warm_digest, encode_warm_state(ws));
   warm_cache_put(path, ws);
 }
 
@@ -438,11 +270,9 @@ WarmLoad load_warm_state(const std::string& dir, std::uint64_t digest) {
     out.state = *hit;
     return out;
   }
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return out;  // no checkpoint yet: not an error
-  std::string bytes((std::istreambuf_iterator<char>(is)),
-                    std::istreambuf_iterator<char>());
-  out = decode_warm_state(bytes, path);
+  const std::optional<std::string> bytes = read_file(path);
+  if (!bytes) return out;  // no checkpoint yet: not an error
+  out = decode_warm_state(*bytes, path);
   if (out.state && out.state->warm_digest != digest) {
     out.warnings.push_back("warm-state: " + path +
                            ": digest mismatch (checkpoint ignored)");

@@ -3,12 +3,12 @@
 // warm_config_digest (obs/manifest.hpp) skip the warmup by fast-forward
 // replay + state install instead of re-warming.
 //
-// One file per warm digest: `<dir>/<16-hex digest>.csc`, written atomically
-// (temp + rename), framed exactly like the sweep journal — "CSCK" magic,
-// version byte, payload length, FNV-1a payload checksum — and decoded by a
-// hardened loader: any corruption shape (truncated header or record, bad
-// magic, checksum mismatch, version skew) degrades into a warning and a
-// fresh in-process warmup, never a wrong answer.
+// One file per warm digest: `<dir>/<16-hex digest>.csc`, holding exactly one
+// "CSCK" record-file frame (src/core/record_file.hpp, the sweep journal's
+// format), written atomically and decoded by the shared hardened frame
+// decoder: any corruption shape (truncated header or record, bad magic,
+// checksum mismatch, version skew) degrades into a warning and a fresh
+// in-process warmup, never a wrong answer.
 //
 // Contents are byte-deterministic: hash-map state (directory, attraction
 // memory, home map, touched-line set) is sorted by address before encoding,
@@ -75,8 +75,7 @@ struct WarmState {
   std::vector<std::vector<WarmAttractionLine>> attraction;  ///< per cluster
 };
 
-/// Frames the state as one "CSCK" record (magic + version + length + FNV-1a
-/// + payload).
+/// Frames the state as one "CSCK" record (src/core/record_file.hpp).
 std::string encode_warm_state(const WarmState& ws);
 
 struct WarmLoad {

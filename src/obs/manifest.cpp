@@ -2,57 +2,22 @@
 
 #include <cstdio>
 #include <ostream>
-#include <stdexcept>
 
 #include "src/core/atomic_file.hpp"
 #include "src/obs/build_info.hpp"
 #include "src/report/experiment.hpp"
+#include "src/report/json.hpp"
 
 namespace csim::obs {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-struct Fnv {
-  std::uint64_t h = kFnvOffset;
-  void byte(std::uint8_t b) noexcept {
-    h ^= b;
-    h *= kFnvPrime;
-  }
-  void u64(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void str(std::string_view s) noexcept {
-    u64(s.size());
-    for (char c : s) byte(static_cast<std::uint8_t>(c));
-  }
-};
-
-void hash_counters(Fnv& f, const MissCounters& c) {
-  f.u64(c.reads);
-  f.u64(c.writes);
-  f.u64(c.read_hits);
-  f.u64(c.write_hits);
-  f.u64(c.read_misses);
-  f.u64(c.write_misses);
-  f.u64(c.upgrade_misses);
-  f.u64(c.merges);
-  f.u64(c.cold_misses);
-  f.u64(c.invalidations);
-  f.u64(c.evictions);
-  f.u64(c.snoop_transfers);
-  f.u64(c.cluster_memory_hits);
-  f.u64(c.bus_invalidations);
-  f.u64(c.bank_conflicts);
-  f.u64(c.bank_wait_cycles);
-  f.u64(c.dir_wait_cycles);
-  f.u64(c.nic_wait_cycles);
-  for (std::uint64_t v : c.by_class) f.u64(v);
+void hash_counters(Fnv1a& f, const MissCounters& c) {
+  for (const auto field : kMissCounterFields) f.u64(c.*field);
+  for (const std::uint64_t v : c.by_class) f.u64(v);
 }
 
-void hash_buckets(Fnv& f, const TimeBuckets& b) {
+void hash_buckets(Fnv1a& f, const TimeBuckets& b) {
   f.u64(b.cpu);
   f.u64(b.load);
   f.u64(b.merge);
@@ -64,42 +29,11 @@ const char* style_name(ClusterStyle s) {
   return s == ClusterStyle::SharedMemory ? "shared_memory" : "shared_cache";
 }
 
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
-
-std::uint64_t fnv1a(std::string_view bytes) noexcept {
-  Fnv f;
-  for (char c : bytes) f.byte(static_cast<std::uint8_t>(c));
-  return f.h;
-}
 
 std::uint64_t config_digest(const MachineSpec& cfg, std::string_view app,
                             ProblemScale scale) {
-  Fnv f;
+  Fnv1a f;
   f.str(app);
   f.byte(static_cast<std::uint8_t>(scale));
   f.u64(cfg.num_procs);
@@ -141,7 +75,7 @@ std::uint64_t config_digest(const MachineSpec& cfg, std::string_view app,
 
 std::uint64_t warm_config_digest(const MachineSpec& cfg, std::string_view app,
                                  ProblemScale scale) {
-  Fnv f;
+  Fnv1a f;
   f.str(app);
   f.byte(static_cast<std::uint8_t>(scale));
   f.u64(cfg.num_procs);
@@ -163,7 +97,7 @@ std::uint64_t warm_config_digest(const MachineSpec& cfg, std::string_view app,
 }
 
 std::uint64_t result_digest(const SimResult& r) {
-  Fnv f;
+  Fnv1a f;
   f.str(r.app_name);
   f.byte(static_cast<std::uint8_t>(r.scale));
   f.u64(r.config.num_procs);
@@ -197,101 +131,34 @@ std::uint64_t result_digest(const SimResult& r) {
 }
 
 std::uint64_t sweep_digest(const std::vector<SimResult>& rows) {
-  Fnv f;
+  Fnv1a f;
   f.u64(rows.size());
   for (const SimResult& r : rows) f.u64(result_digest(r));
   return f.h;
 }
 
-std::string digest_hex(std::uint64_t d) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(d));
-  return buf;
-}
-
 void write_run_manifest(std::ostream& os, const std::string& tool,
-                        const std::vector<SimResult>& rows,
-                        std::time_t generated_unix) {
-  os << "{\n";
-  os << "  \"schema\": \"csim.run_manifest/3\",\n";
-  os << "  \"tool\": \"" << json_escape(tool) << "\",\n";
-  os << "  \"git\": \"" << json_escape(std::string(git_describe()))
-     << "\",\n";
-  os << "  \"generated_unix\": " << static_cast<long long>(generated_unix)
-     << ",\n";
-  os << "  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const SimResult& r = rows[i];
-    os << "    {\"app\": \"" << json_escape(r.app_name) << "\", \"scale\": \""
-       << to_string(r.scale) << "\", \"ok\": " << (r.ok ? "true" : "false")
-       << ",\n     \"config\": {\"label\": \"" << json_escape(r.config.label())
-       << "\", \"procs\": " << r.config.num_procs
-       << ", \"ppc\": " << r.config.procs_per_cluster << ", \"style\": \""
-       << style_name(r.config.cluster_style)
-       << "\", \"cache_bytes\": " << r.config.cache.per_proc_bytes
-       << ", \"line_bytes\": " << r.config.cache.line_bytes
-       << ", \"assoc\": " << r.config.cache.associativity
-       << ", \"quantum\": " << r.config.runahead_quantum << "},\n";
-    if (r.ok) {
-      os << "     \"wall_time\": " << r.wall_time
-         << ", \"events\": " << r.events;
-      if (r.sampled) {
-        char cov[32];
-        std::snprintf(cov, sizeof cov, "%.6f", r.coverage);
-        os << ", \"sampled\": true, \"coverage\": " << cov
-           << ", \"detailed_refs\": " << r.detailed_refs;
-      }
-    } else {
-      os << "     \"error_kind\": \"" << json_escape(r.error_kind) << "\"";
-    }
-    char host[32];
-    std::snprintf(host, sizeof host, "%.6f", r.host_seconds);
-    os << ", \"host_seconds\": " << host << ",\n     \"digest\": \""
-       << digest_hex(result_digest(r)) << "\"}"
-       << (i + 1 < rows.size() ? "," : "") << '\n';
-  }
-  os << "  ],\n";
-  os << "  \"sweep_digest\": \"" << digest_hex(sweep_digest(rows)) << "\"\n";
-  os << "}\n";
-}
-
-void write_run_manifest_file(const std::string& path, const std::string& tool,
-                             const std::vector<SimResult>& rows) {
-  atomic_write_file(path, [&](std::ostream& os) {
-    write_run_manifest(os, tool, rows, std::time(nullptr));
-  });
-}
-
-namespace {
-
-/// Shared body of the /4 (prov == null) and /5 (prov given) sweep
-/// manifests; the /4 byte stream is pinned by manifest_test.
-void write_sweep_manifest(std::ostream& os, const std::string& tool,
-                          const SweepResult& sweep,
-                          std::time_t generated_unix,
-                          const SweepProvenance* prov) {
+                        const SweepResult& sweep, std::time_t generated_unix,
+                        const SweepProvenance& prov) {
   const std::vector<SimResult>& rows = sweep.rows;
   os << "{\n";
-  os << "  \"schema\": \"csim.run_manifest/" << (prov != nullptr ? 5 : 4)
-     << "\",\n";
-  os << "  \"tool\": \"" << json_escape(tool) << "\",\n";
-  os << "  \"git\": \"" << json_escape(std::string(git_describe()))
-     << "\",\n";
+  os << "  \"schema\": \"csim.run_manifest/5\",\n";
+  os << "  \"tool\": \"" << json::escape(tool) << "\",\n";
+  os << "  \"git\": \"" << json::escape(git_describe()) << "\",\n";
   os << "  \"generated_unix\": " << static_cast<long long>(generated_unix)
      << ",\n";
-  if (prov != nullptr) {
-    os << "  \"shard\": {\"index\": " << prov->shard_index
-       << ", \"count\": " << prov->shard_count
-       << ", \"rows_total\": " << prov->rows_total << "},\n";
-    os << "  \"cache_hits\": " << prov->cache_hits << ",\n";
-  }
+  os << "  \"shard\": {\"index\": " << prov.shard_index
+     << ", \"count\": " << prov.shard_count
+     << ", \"rows_total\": " << prov.rows_total << "},\n";
+  os << "  \"cache_hits\": " << prov.cache_hits << ",\n";
   os << "  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SimResult& r = rows[i];
-    os << "    {\"app\": \"" << json_escape(r.app_name) << "\", \"scale\": \""
-       << to_string(r.scale) << "\", \"ok\": " << (r.ok ? "true" : "false")
-       << ",\n     \"config\": {\"label\": \"" << json_escape(r.config.label())
+    os << "    {\"app\": \"" << json::escape(r.app_name)
+       << "\", \"scale\": \"" << to_string(r.scale)
+       << "\", \"ok\": " << (r.ok ? "true" : "false")
+       << ",\n     \"config\": {\"label\": \""
+       << json::escape(r.config.label())
        << "\", \"procs\": " << r.config.num_procs
        << ", \"ppc\": " << r.config.procs_per_cluster << ", \"style\": \""
        << style_name(r.config.cluster_style)
@@ -309,7 +176,7 @@ void write_sweep_manifest(std::ostream& os, const std::string& tool,
            << ", \"detailed_refs\": " << r.detailed_refs;
       }
     } else {
-      os << "     \"error_kind\": \"" << json_escape(r.error_kind) << "\"";
+      os << "     \"error_kind\": \"" << json::escape(r.error_kind) << "\"";
     }
     char host[32];
     std::snprintf(host, sizeof host, "%.6f", r.host_seconds);
@@ -328,34 +195,13 @@ void write_sweep_manifest(std::ostream& os, const std::string& tool,
   if (!sweep.journal_warnings.empty()) {
     os << "  \"journal_warnings\": [\n";
     for (std::size_t i = 0; i < sweep.journal_warnings.size(); ++i) {
-      os << "    \"" << json_escape(sweep.journal_warnings[i]) << "\""
+      os << "    \"" << json::escape(sweep.journal_warnings[i]) << "\""
          << (i + 1 < sweep.journal_warnings.size() ? "," : "") << '\n';
     }
     os << "  ],\n";
   }
   os << "  \"sweep_digest\": \"" << digest_hex(sweep_digest(rows)) << "\"\n";
   os << "}\n";
-}
-
-}  // namespace
-
-void write_run_manifest(std::ostream& os, const std::string& tool,
-                        const SweepResult& sweep,
-                        std::time_t generated_unix) {
-  write_sweep_manifest(os, tool, sweep, generated_unix, nullptr);
-}
-
-void write_run_manifest(std::ostream& os, const std::string& tool,
-                        const SweepResult& sweep, std::time_t generated_unix,
-                        const SweepProvenance& prov) {
-  write_sweep_manifest(os, tool, sweep, generated_unix, &prov);
-}
-
-void write_run_manifest_file(const std::string& path, const std::string& tool,
-                             const SweepResult& sweep) {
-  atomic_write_file(path, [&](std::ostream& os) {
-    write_run_manifest(os, tool, sweep, std::time(nullptr));
-  });
 }
 
 void write_run_manifest_file(const std::string& path, const std::string& tool,

@@ -16,6 +16,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/core/record_file.hpp"
 #include "src/core/stats.hpp"
 
 namespace csim {
@@ -23,10 +24,6 @@ struct SweepResult;
 }
 
 namespace csim::obs {
-
-/// FNV-1a 64-bit digest of an arbitrary byte string (the hash every digest
-/// below is built from; exported for the journal's record framing).
-[[nodiscard]] std::uint64_t fnv1a(std::string_view bytes) noexcept;
 
 /// FNV-1a 64-bit digest of a simulation result's deterministic fields.
 /// Failed runs (ok == false) hash their error kind instead of statistics.
@@ -58,35 +55,11 @@ namespace csim::obs {
 /// Digest of a whole sweep: FNV-1a over the row digests, in order.
 [[nodiscard]] std::uint64_t sweep_digest(const std::vector<SimResult>& rows);
 
-/// 16-hex-digit lowercase rendering of a digest.
-[[nodiscard]] std::string digest_hex(std::uint64_t d);
+/// 16-hex-digit lowercase rendering of a digest (src/core/record_file.hpp).
+using csim::digest_hex;
 
-/// Writes the "csim.run_manifest/3" JSON document for a sweep.
-/// `tool` names the producing driver (e.g. "csim_cli"); `generated_unix`
-/// stamps the manifest (pass a fixed value in tests for byte-stable output).
-void write_run_manifest(std::ostream& os, const std::string& tool,
-                        const std::vector<SimResult>& rows,
-                        std::time_t generated_unix);
-
-/// Convenience: writes to `path`, stamped with the current time.
-void write_run_manifest_file(const std::string& path, const std::string& tool,
-                             const std::vector<SimResult>& rows);
-
-/// Writes the "csim.run_manifest/4" JSON document for a SweepResult: the /3
-/// rows augmented with a per-row "outcome" object (status, attempts, journal
-/// provenance, config digest) and the sweep's journal warnings. The /3
-/// writer above is unchanged, byte for byte, for existing consumers.
-void write_run_manifest(std::ostream& os, const std::string& tool,
-                        const SweepResult& sweep, std::time_t generated_unix);
-
-/// Convenience: writes the /4 document to `path`, stamped with the current
-/// time, atomically (temp + rename).
-void write_run_manifest_file(const std::string& path, const std::string& tool,
-                             const SweepResult& sweep);
-
-/// Provenance of a sharded and/or cache-served sweep (csim_cli --shard,
-/// csim_serve): which slice of the full sweep this artifact covers and how
-/// much of it was satisfied without simulating.
+/// Provenance of a sweep artifact: which slice of the full sweep it covers
+/// (csim_cli --shard) and how much of it was served without simulating.
 struct SweepProvenance {
   unsigned shard_index = 0;
   unsigned shard_count = 1;    ///< 1 = unsharded
@@ -94,14 +67,18 @@ struct SweepProvenance {
   std::size_t cache_hits = 0;  ///< rows served from the cache / journal
 };
 
-/// Writes the "csim.run_manifest/5" document: the /4 document plus a top-
-/// level "shard" object and "cache_hits" count. The /4 writer keeps its
-/// exact bytes for consumers that never shard.
+/// Writes the "csim.run_manifest/5" JSON document for a sweep: the shard and
+/// cache-hit provenance, then per row the configuration, the statistics (or
+/// the error kind of a failed row), host time, the outcome (status,
+/// attempts, journal provenance, config digest) and the result digest, then
+/// any journal warnings and the sweep digest. `tool` names the producing
+/// driver (e.g. "csim_cli"); `generated_unix` stamps the manifest (pass a
+/// fixed value in tests for byte-stable output).
 void write_run_manifest(std::ostream& os, const std::string& tool,
                         const SweepResult& sweep, std::time_t generated_unix,
                         const SweepProvenance& prov);
 
-/// Convenience: writes the /5 document to `path`, stamped with the current
+/// Convenience: writes the document to `path`, stamped with the current
 /// time, atomically (temp + rename).
 void write_run_manifest_file(const std::string& path, const std::string& tool,
                              const SweepResult& sweep,

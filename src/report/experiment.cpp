@@ -126,20 +126,16 @@ SweepResult run_sweep(const SweepRequest& req) {
       const auto it = by_digest.find(digests[i]);
       if (it == by_digest.end()) continue;
       const JournalRecord& rec = *it->second;
-      if (rec.app_name != app_name || rec.scale != app_scale) {
-        res.journal_warnings.push_back(
-            "journal: record " + obs::digest_hex(digests[i]) +
-            " names a different app/scale; re-simulating");
+      std::string why;
+      std::optional<SimResult> r =
+          verified_journal_result(rec, configs[i], app_name, app_scale, why);
+      if (!r) {
+        res.journal_warnings.push_back("journal: record " +
+                                       obs::digest_hex(digests[i]) + " " +
+                                       why + "; re-simulating");
         continue;
       }
-      SimResult r = journal_record_to_result(rec, configs[i]);
-      if (obs::result_digest(r) != rec.result_digest) {
-        res.journal_warnings.push_back(
-            "journal: record " + obs::digest_hex(digests[i]) +
-            " fails result-digest verification; re-simulating");
-        continue;
-      }
-      res.rows[i] = std::move(r);
+      res.rows[i] = std::move(*r);
       res.outcomes[i] = RowOutcome{RowOutcome::Status::Ok, rec.attempts,
                                    /*from_journal=*/true, digests[i]};
       done[i] = 1;
@@ -300,11 +296,8 @@ SweepResult run_sweep(const SweepRequest& req) {
           const auto keep = static_cast<std::size_t>(
               static_cast<double>(bytes.size()) * fault->keep_fraction);
           std::filesystem::create_directories(pol.journal_dir);
-          const std::string path =
-              (std::filesystem::path(pol.journal_dir) /
-               (obs::digest_hex(digest) + ".csj"))
-                  .string();
-          std::ofstream os(path, std::ios::binary | std::ios::trunc);
+          std::ofstream os(journal_record_path(pol.journal_dir, digest),
+                           std::ios::binary | std::ios::trunc);
           os.write(bytes.data(), static_cast<std::streamsize>(keep));
           warn("fault injection: torn journal write for config " +
                obs::digest_hex(digest) + " (kept " + std::to_string(keep) +

@@ -2,8 +2,10 @@
 
 #include <cerrno>
 #include <cstdlib>
-#include <fstream>
+#include <optional>
 #include <sstream>
+
+#include "src/core/record_file.hpp"
 
 namespace csim {
 
@@ -166,11 +168,9 @@ FaultPlan FaultPlan::parse(std::string_view text, const std::string& origin) {
 }
 
 FaultPlan FaultPlan::parse_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw ConfigError("fault plan: cannot open " + path);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return parse(buf.str(), path);
+  const std::optional<std::string> text = read_file(path);
+  if (!text) throw ConfigError("fault plan: cannot open " + path);
+  return parse(*text, path);
 }
 
 }  // namespace csim

@@ -1,232 +1,124 @@
 #include "src/report/journal.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 #include <stdexcept>
+#include <system_error>
 #include <unordered_set>
+#include <utility>
 
-#include "src/core/atomic_file.hpp"
+#include "src/core/record_file.hpp"
 #include "src/obs/manifest.hpp"
 
 namespace csim {
 
 namespace {
 
-constexpr char kMagic[4] = {'C', 'S', 'J', 'L'};
 // Version 2 appends the interval-sampling provenance fields (sampled,
 // coverage, detailed_refs). Version-1 files decode with those fields zero.
-constexpr std::uint8_t kVersion = 2;
-constexpr std::uint8_t kMinVersion = 1;
-// magic(4) + version(1) + payload_len(8) + payload_fnv(8)
-constexpr std::size_t kFrameHeaderBytes = 4 + 1 + 8 + 8;
-// A record payload can't meaningfully exceed this (4096 procs of buckets is
-// ~160 KB); anything larger is a corrupt length field, not a real record.
-constexpr std::uint64_t kMaxPayloadBytes = 64u << 20;
+// A record payload can't meaningfully exceed 64 MiB (4096 procs of buckets
+// is ~160 KB); anything larger is a corrupt length field, not a real record.
+constexpr RecordFormat kFormat{.name = "journal",
+                               .magic = "CSJL",
+                               .min_version = 1,
+                               .version = 2,
+                               .max_payload = 64u << 20,
+                               .extension = ".csj"};
 
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
+constexpr std::size_t kBucketsRecordBytes = 5 * 8;
+
+void put_buckets(RecordWriter& w, const TimeBuckets& b) {
+  w.u64(b.cpu);
+  w.u64(b.load);
+  w.u64(b.merge);
+  w.u64(b.sync);
+  w.u64(b.contention);
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+TimeBuckets get_buckets(RecordReader& r) {
+  TimeBuckets b;
+  b.cpu = r.u64();
+  b.load = r.u64();
+  b.merge = r.u64();
+  b.sync = r.u64();
+  b.contention = r.u64();
+  return b;
 }
-
-void put_counters(std::string& out, const MissCounters& c) {
-  put_u64(out, c.reads);
-  put_u64(out, c.writes);
-  put_u64(out, c.read_hits);
-  put_u64(out, c.write_hits);
-  put_u64(out, c.read_misses);
-  put_u64(out, c.write_misses);
-  put_u64(out, c.upgrade_misses);
-  put_u64(out, c.merges);
-  put_u64(out, c.cold_misses);
-  put_u64(out, c.invalidations);
-  put_u64(out, c.evictions);
-  put_u64(out, c.snoop_transfers);
-  put_u64(out, c.cluster_memory_hits);
-  put_u64(out, c.bus_invalidations);
-  put_u64(out, c.bank_conflicts);
-  put_u64(out, c.bank_wait_cycles);
-  put_u64(out, c.dir_wait_cycles);
-  put_u64(out, c.nic_wait_cycles);
-  for (std::uint64_t v : c.by_class) put_u64(out, v);
-}
-
-void put_buckets(std::string& out, const TimeBuckets& b) {
-  put_u64(out, b.cpu);
-  put_u64(out, b.load);
-  put_u64(out, b.merge);
-  put_u64(out, b.sync);
-  put_u64(out, b.contention);
-}
-
-/// Bounds-checked little-endian reader over a payload. Any out-of-range
-/// read sets `ok = false` and returns zeros; callers check once at the end.
-struct Reader {
-  std::string_view buf;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  std::uint8_t u8() {
-    if (pos + 1 > buf.size()) {
-      ok = false;
-      return 0;
-    }
-    return static_cast<std::uint8_t>(buf[pos++]);
-  }
-  std::uint64_t u64() {
-    if (pos + 8 > buf.size()) {
-      ok = false;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[pos + i]))
-           << (8 * i);
-    }
-    pos += 8;
-    return v;
-  }
-  std::string str(std::uint64_t n) {
-    if (n > buf.size() - pos) {
-      ok = false;
-      return {};
-    }
-    std::string s(buf.substr(pos, n));
-    pos += n;
-    return s;
-  }
-  MissCounters counters() {
-    MissCounters c;
-    c.reads = u64();
-    c.writes = u64();
-    c.read_hits = u64();
-    c.write_hits = u64();
-    c.read_misses = u64();
-    c.write_misses = u64();
-    c.upgrade_misses = u64();
-    c.merges = u64();
-    c.cold_misses = u64();
-    c.invalidations = u64();
-    c.evictions = u64();
-    c.snoop_transfers = u64();
-    c.cluster_memory_hits = u64();
-    c.bus_invalidations = u64();
-    c.bank_conflicts = u64();
-    c.bank_wait_cycles = u64();
-    c.dir_wait_cycles = u64();
-    c.nic_wait_cycles = u64();
-    for (std::uint64_t& v : c.by_class) v = u64();
-    return c;
-  }
-  TimeBuckets buckets() {
-    TimeBuckets b;
-    b.cpu = u64();
-    b.load = u64();
-    b.merge = u64();
-    b.sync = u64();
-    b.contention = u64();
-    return b;
-  }
-};
 
 std::string encode_payload(const JournalRecord& rec) {
-  std::string p;
-  p.reserve(256 + rec.per_proc.size() * 40 + rec.per_cluster.size() * 176);
-  put_u64(p, rec.config_digest);
-  put_u64(p, rec.result_digest);
-  put_u64(p, rec.app_name.size());
-  p.append(rec.app_name);
-  put_u8(p, static_cast<std::uint8_t>(rec.scale));
-  put_u8(p, 1);  // ok flag: only completed rows are journaled (reserved)
-  put_u64(p, rec.wall_time);
-  put_u64(p, rec.events);
-  put_u64(p, std::bit_cast<std::uint64_t>(rec.host_seconds));
-  put_u64(p, rec.attempts);
-  put_counters(p, rec.totals);
-  put_u64(p, rec.per_proc.size());
-  for (const TimeBuckets& b : rec.per_proc) put_buckets(p, b);
-  put_u64(p, rec.per_cluster.size());
-  for (const MissCounters& c : rec.per_cluster) put_counters(p, c);
+  RecordWriter w;
+  w.out.reserve(256 + rec.per_proc.size() * kBucketsRecordBytes +
+                rec.per_cluster.size() * kCountersRecordBytes);
+  w.u64(rec.config_digest);
+  w.u64(rec.result_digest);
+  w.str(rec.app_name);
+  w.u8(static_cast<std::uint8_t>(rec.scale));
+  w.u8(1);  // ok flag: only completed rows are journaled (reserved)
+  w.u64(rec.wall_time);
+  w.u64(rec.events);
+  w.f64(rec.host_seconds);
+  w.u64(rec.attempts);
+  w.counters(rec.totals);
+  w.u64(rec.per_proc.size());
+  for (const TimeBuckets& b : rec.per_proc) put_buckets(w, b);
+  w.u64(rec.per_cluster.size());
+  for (const MissCounters& c : rec.per_cluster) w.counters(c);
   // Version 2: interval-sampling provenance.
-  put_u8(p, rec.sampled ? 1 : 0);
-  put_u64(p, std::bit_cast<std::uint64_t>(rec.coverage));
-  put_u64(p, rec.detailed_refs);
-  return p;
+  w.u8(rec.sampled ? 1 : 0);
+  w.f64(rec.coverage);
+  w.u64(rec.detailed_refs);
+  return std::move(w.out);
 }
 
 /// Decodes one payload; returns false (with `why`) on structural damage.
 bool decode_payload(std::string_view payload, std::uint8_t version,
                     JournalRecord& rec, std::string& why) {
-  Reader r{payload};
+  RecordReader r(payload);
   rec.config_digest = r.u64();
   rec.result_digest = r.u64();
-  rec.app_name = r.str(r.u64());
+  rec.app_name = r.str();
   rec.scale = static_cast<ProblemScale>(r.u8());
   const std::uint8_t okflag = r.u8();
   rec.wall_time = r.u64();
   rec.events = r.u64();
-  rec.host_seconds = std::bit_cast<double>(r.u64());
+  rec.host_seconds = r.f64();
   rec.attempts = static_cast<std::uint32_t>(r.u64());
   rec.totals = r.counters();
   const std::uint64_t nproc = r.u64();
-  // Guard the reserve: each entry needs 40 payload bytes, so a count that
-  // can't fit in the remaining buffer is a corrupt field, not a big sweep.
-  if (nproc > (payload.size() - std::min(r.pos, payload.size())) / 40) {
+  if (!r.fits(nproc, kBucketsRecordBytes)) {
     why = "per_proc count exceeds payload";
     return false;
   }
   rec.per_proc.reserve(nproc);
-  for (std::uint64_t i = 0; i < nproc && r.ok; ++i) {
-    rec.per_proc.push_back(r.buckets());
+  for (std::uint64_t i = 0; i < nproc && r.ok(); ++i) {
+    rec.per_proc.push_back(get_buckets(r));
   }
   const std::uint64_t nclust = r.u64();
-  if (nclust > (payload.size() - std::min(r.pos, payload.size())) / 176) {
+  if (!r.fits(nclust, kCountersRecordBytes)) {
     why = "per_cluster count exceeds payload";
     return false;
   }
   rec.per_cluster.reserve(nclust);
-  for (std::uint64_t i = 0; i < nclust && r.ok; ++i) {
+  for (std::uint64_t i = 0; i < nclust && r.ok(); ++i) {
     rec.per_cluster.push_back(r.counters());
   }
   if (version >= 2) {
     rec.sampled = r.u8() != 0;
-    rec.coverage = std::bit_cast<double>(r.u64());
+    rec.coverage = r.f64();
     rec.detailed_refs = r.u64();
   }
-  if (!r.ok) {
-    why = "payload truncated mid-field";
-    return false;
-  }
-  if (okflag != 1) {
+  if (r.ok() && okflag != 1) {
     why = "record not marked ok";
     return false;
   }
-  if (r.pos != payload.size()) {
-    why = "trailing bytes after payload";
-    return false;
-  }
-  return true;
+  return r.finish(why);
 }
 
 }  // namespace
 
 std::string encode_journal_record(const JournalRecord& rec) {
-  const std::string payload = encode_payload(rec);
-  std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  out.append(kMagic, 4);
-  put_u8(out, kVersion);
-  put_u64(out, payload.size());
-  put_u64(out, obs::fnv1a(payload));
-  out.append(payload);
-  return out;
+  return encode_frame(kFormat, encode_payload(rec));
 }
 
 JournalLoad decode_journal_records(std::string_view bytes,
@@ -237,43 +129,28 @@ JournalLoad decode_journal_records(std::string_view bytes,
   };
   std::size_t pos = 0;
   while (pos < bytes.size()) {
-    if (bytes.size() - pos < kFrameHeaderBytes) {
-      warn("truncated frame header (record skipped)");
+    const Frame frame =
+        decode_frame(kFormat, bytes.substr(pos), FrameFit::Prefix);
+    if (frame.status == Frame::Status::BadMagic ||
+        frame.status == Frame::Status::BadVersion) {
+      // Lost framing: without a trusted header there is no reliable way to
+      // resync, so drop the rest of the file rather than misparse garbage.
+      warn(frame.error + " (rest of file skipped)");
       return out;
     }
-    if (bytes.compare(pos, 4, kMagic, 4) != 0) {
-      // Lost framing: without the magic there is no reliable way to resync,
-      // so drop the rest of the file rather than misparse garbage.
-      warn("bad magic (rest of file skipped)");
+    if (frame.status == Frame::Status::TruncatedHeader ||
+        frame.status == Frame::Status::BadLength) {
+      warn(frame.error + " (record skipped)");
       return out;
     }
-    const std::uint8_t version = static_cast<std::uint8_t>(bytes[pos + 4]);
-    Reader hdr{bytes.substr(pos + 5, 16)};
-    const std::uint64_t payload_len = hdr.u64();
-    const std::uint64_t payload_fnv = hdr.u64();
-    if (version < kMinVersion || version > kVersion) {
-      warn("unsupported version " + std::to_string(version) +
-           " (rest of file skipped)");
-      return out;
-    }
-    if (payload_len > kMaxPayloadBytes ||
-        payload_len > bytes.size() - pos - kFrameHeaderBytes) {
-      warn("truncated record: declares " + std::to_string(payload_len) +
-           " payload bytes, " +
-           std::to_string(bytes.size() - pos - kFrameHeaderBytes) +
-           " available (record skipped)");
-      return out;
-    }
-    const std::string_view payload =
-        bytes.substr(pos + kFrameHeaderBytes, payload_len);
-    pos += kFrameHeaderBytes + payload_len;
-    if (obs::fnv1a(payload) != payload_fnv) {
-      warn("checksum mismatch (record skipped)");
+    pos += frame.size;
+    if (!frame.ok()) {
+      warn(frame.error + " (record skipped)");
       continue;  // frame length was intact, so the next record may be fine
     }
     JournalRecord rec;
     std::string why;
-    if (!decode_payload(payload, version, rec, why)) {
+    if (!decode_payload(frame.payload, frame.version, rec, why)) {
       warn(why + " (record skipped)");
       continue;
     }
@@ -283,8 +160,8 @@ JournalLoad decode_journal_records(std::string_view bytes,
                       return r.config_digest == rec.config_digest;
                     });
     if (dup) {
-      warn("duplicate record for config " +
-           obs::digest_hex(rec.config_digest) + " (first record wins)");
+      warn("duplicate record for config " + digest_hex(rec.config_digest) +
+           " (first record wins)");
       continue;
     }
     out.records.push_back(std::move(rec));
@@ -292,18 +169,14 @@ JournalLoad decode_journal_records(std::string_view bytes,
   return out;
 }
 
+std::string journal_record_path(const std::string& dir,
+                                std::uint64_t config_digest) {
+  return record_path(kFormat, dir, config_digest);
+}
+
 void append_journal_record(const std::string& dir, const JournalRecord& rec) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    throw std::runtime_error("journal: cannot create " + dir + ": " +
-                             ec.message());
-  }
-  const std::string path =
-      (std::filesystem::path(dir) /
-       (obs::digest_hex(rec.config_digest) + ".csj"))
-          .string();
-  atomic_write_file(path, encode_journal_record(rec));
+  write_record_file(kFormat, dir, rec.config_digest,
+                    encode_journal_record(rec));
 }
 
 JournalLoad load_journal(const std::string& dir) {
@@ -313,21 +186,19 @@ JournalLoad load_journal(const std::string& dir) {
   if (ec) return out;  // missing directory = empty journal
   std::vector<std::string> paths;
   for (const auto& entry : it) {
-    if (entry.path().extension() == ".csj") {
+    if (entry.path().extension() == kFormat.extension) {
       paths.push_back(entry.path().string());
     }
   }
   std::sort(paths.begin(), paths.end());  // directory order is unspecified
   std::unordered_set<std::uint64_t> seen;
   for (const std::string& path : paths) {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
+    const std::optional<std::string> bytes = read_file(path);
+    if (!bytes) {
       out.warnings.push_back("journal: " + path + ": cannot open (skipped)");
       continue;
     }
-    std::string bytes((std::istreambuf_iterator<char>(is)),
-                      std::istreambuf_iterator<char>());
-    if (bytes.empty()) {
+    if (bytes->empty()) {
       // A crash between creating the file and its first write leaves a
       // zero-length record: same treatment as a truncated frame — warn and
       // re-simulate, never error the whole resume.
@@ -335,13 +206,13 @@ JournalLoad load_journal(const std::string& dir) {
                              ": empty record file (record skipped)");
       continue;
     }
-    JournalLoad one = decode_journal_records(bytes, path);
+    JournalLoad one = decode_journal_records(*bytes, path);
     for (std::string& w : one.warnings) out.warnings.push_back(std::move(w));
     for (JournalRecord& rec : one.records) {
       if (!seen.insert(rec.config_digest).second) {
         out.warnings.push_back("journal: " + path +
                                ": duplicate record for config " +
-                               obs::digest_hex(rec.config_digest) +
+                               digest_hex(rec.config_digest) +
                                " (first record wins)");
         continue;
       }
@@ -374,8 +245,15 @@ JournalRecord journal_record_from_result(const SimResult& r,
   return rec;
 }
 
-SimResult journal_record_to_result(const JournalRecord& rec,
-                                   const MachineSpec& cfg) {
+std::optional<SimResult> verified_journal_result(const JournalRecord& rec,
+                                                 const MachineSpec& cfg,
+                                                 std::string_view app,
+                                                 ProblemScale scale,
+                                                 std::string& why) {
+  if (rec.app_name != app || rec.scale != scale) {
+    why = "names a different app/scale";
+    return std::nullopt;
+  }
   SimResult r;
   r.config = cfg;
   r.app_name = rec.app_name;
@@ -390,6 +268,10 @@ SimResult journal_record_to_result(const JournalRecord& rec,
   r.per_cluster = rec.per_cluster;
   r.totals = rec.totals;
   r.ok = true;
+  if (obs::result_digest(r) != rec.result_digest) {
+    why = "fails result-digest verification";
+    return std::nullopt;
+  }
   return r;
 }
 

@@ -2,13 +2,10 @@
 // keyed by config digest (src/obs/manifest.hpp), that lets a killed sweep
 // resume without re-simulating finished work (docs/ROBUSTNESS.md §6).
 //
-// Layout: one record file per row, `<journal_dir>/<16-hex-digest>.csj`,
-// written atomically (temp + fsync + rename), so a crash mid-append leaves
-// either the previous record or none — never a half-written file at the
-// final name. Each record is self-delimiting:
-//
-//   magic "CSJL" (4) | version u8 | payload_len u64 LE | payload_fnv u64 LE
-//   | payload bytes
+// One record file per row, `<journal_dir>/<16-hex-digest>.csj`: a "CSJL"
+// record-file frame (src/core/record_file.hpp), written atomically, so a
+// crash mid-append leaves either the previous record or none — never a
+// half-written file at the final name.
 //
 // The loader treats every *.csj file as a (possibly concatenated) record
 // sequence and survives anything a crash or fault injector can produce:
@@ -18,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,8 +65,12 @@ struct JournalLoad {
 [[nodiscard]] JournalLoad decode_journal_records(std::string_view bytes,
                                                  const std::string& origin);
 
-/// Atomically writes `rec` to `<dir>/<digest_hex>.csj`, creating `dir` if
-/// needed. Throws std::runtime_error on I/O failure.
+/// `<dir>/<16-hex config_digest>.csj`: where a row's record lives.
+[[nodiscard]] std::string journal_record_path(const std::string& dir,
+                                              std::uint64_t config_digest);
+
+/// Atomically writes `rec` to journal_record_path(dir, rec.config_digest),
+/// creating `dir` if needed. Throws std::runtime_error on I/O failure.
 void append_journal_record(const std::string& dir, const JournalRecord& rec);
 
 /// Loads every `*.csj` record under `dir` (duplicates deduplicated across
@@ -80,10 +82,14 @@ void append_journal_record(const std::string& dir, const JournalRecord& rec);
 [[nodiscard]] JournalRecord journal_record_from_result(const SimResult& r,
                                                        std::uint32_t attempts);
 
-/// Reconstitutes the SimResult for `cfg` from a journal record. The machine
-/// spec comes from the live request (the journal stores only its digest);
-/// callers verify identity by recomputing the result digest afterwards.
-[[nodiscard]] SimResult journal_record_to_result(const JournalRecord& rec,
-                                                 const MachineSpec& cfg);
+/// Reconstitutes the SimResult for `cfg` (the live request's spec; the
+/// journal stores only its digest) from a record, and trusts it only if the
+/// record names `app` at `scale` and the rebuilt row hashes to the stored
+/// result digest. Otherwise returns nullopt with `why` naming the failed
+/// check — a corrupt or stale record costs a re-simulation, never a wrong
+/// answer.
+[[nodiscard]] std::optional<SimResult> verified_journal_result(
+    const JournalRecord& rec, const MachineSpec& cfg, std::string_view app,
+    ProblemScale scale, std::string& why);
 
 }  // namespace csim

@@ -5,14 +5,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "src/apps/app.hpp"
 #include "src/core/atomic_file.hpp"
 #include "src/core/error.hpp"
+#include "src/core/record_file.hpp"
 #include "src/obs/manifest.hpp"
 #include "src/report/json.hpp"
 
@@ -351,18 +350,15 @@ std::optional<ResultCache::Hit> ResultCache::lookup(
   };
   const auto hit_from = [&](const JournalRecord& rec,
                             Tier tier) -> std::optional<Hit> {
-    if (rec.app_name != app || rec.scale != scale) {
-      warn("cache: record " + obs::digest_hex(digest) +
-           " names a different app/scale; re-simulating");
+    std::string why;
+    std::optional<SimResult> r =
+        verified_journal_result(rec, cfg, app, scale, why);
+    if (!r) {
+      warn("cache: record " + obs::digest_hex(digest) + " " + why +
+           "; re-simulating");
       return std::nullopt;
     }
-    SimResult r = journal_record_to_result(rec, cfg);
-    if (obs::result_digest(r) != rec.result_digest) {
-      warn("cache: record " + obs::digest_hex(digest) +
-           " fails result-digest verification; re-simulating");
-      return std::nullopt;
-    }
-    return Hit{std::move(r), rec.attempts, tier};
+    return Hit{std::move(*r), rec.attempts, tier};
   };
 
   const auto mem = memory_.find(digest);
@@ -374,20 +370,16 @@ std::optional<ResultCache::Hit> ResultCache::lookup(
 
   // The journal names record files by digest, so the disk tier is one file
   // probe — no directory scan however large the cache grows.
-  const std::string path =
-      (std::filesystem::path(dir_) / (obs::digest_hex(digest) + ".csj"))
-          .string();
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return std::nullopt;  // cold: never simulated here before
-  std::string bytes((std::istreambuf_iterator<char>(is)),
-                    std::istreambuf_iterator<char>());
-  if (bytes.empty()) {
+  const std::string path = journal_record_path(dir_, digest);
+  const std::optional<std::string> bytes = read_file(path);
+  if (!bytes) return std::nullopt;  // cold: never simulated here before
+  if (bytes->empty()) {
     warn("cache: " + path +
          ": empty record file (crash between create and first write?); "
          "re-simulating");
     return std::nullopt;
   }
-  JournalLoad load = decode_journal_records(bytes, path);
+  JournalLoad load = decode_journal_records(*bytes, path);
   for (std::string& w : load.warnings) warn(std::move(w));
   for (JournalRecord& rec : load.records) {
     if (rec.config_digest != digest) {

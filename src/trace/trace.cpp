@@ -1,83 +1,58 @@
 #include "src/trace/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 
 #include "src/core/atomic_file.hpp"
+#include "src/core/record_file.hpp"
 #include "src/core/simulator.hpp"
 #include "src/mem/address_space.hpp"
-#include "src/mem/clustered_memory.hpp"
-#include "src/mem/coherence.hpp"
 
 namespace csim {
 
 namespace {
-constexpr char kMagic[4] = {'C', 'S', 'T', 'R'};
+constexpr std::string_view kMagic = "CSTR";
 constexpr std::uint8_t kVersion = 1;
-
-void put_u64(std::ostream& os, std::uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  os.write(b, 8);
-}
-
-std::uint64_t get_u64(std::istream& is) {
-  char b[8];
-  is.read(b, 8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[i])) << (8 * i);
-  }
-  return v;
-}
+// Header: magic(4) version(1) procs(1) line_bytes(2) count(8); each record
+// is proc(1) kind(1) addr(8).
+constexpr std::uint64_t kHeaderBytes = 4 + 1 + 1 + 2 + 8;
+constexpr std::uint64_t kRecordBytes = 1 + 1 + 8;
 }  // namespace
 
 void Trace::save(const std::string& path) const {
-  atomic_write_file(path, [this](std::ostream& os) {
-    os.write(kMagic, 4);
-    os.put(static_cast<char>(kVersion));
-    os.put(static_cast<char>(num_procs_));
-    os.put(static_cast<char>(line_bytes_ & 0xff));
-    os.put(static_cast<char>((line_bytes_ >> 8) & 0xff));
-    put_u64(os, records_.size());
-    for (const TraceRecord& r : records_) {
-      os.put(static_cast<char>(r.proc));
-      os.put(static_cast<char>(r.kind == AccessKind::Write ? 1 : 0));
-      put_u64(os, r.addr);
-    }
-  });
+  RecordWriter w;
+  w.out.reserve(kHeaderBytes + records_.size() * kRecordBytes);
+  w.out.append(kMagic);
+  w.u8(kVersion);
+  w.u8(static_cast<std::uint8_t>(num_procs_));
+  w.u8(static_cast<std::uint8_t>(line_bytes_ & 0xff));
+  w.u8(static_cast<std::uint8_t>((line_bytes_ >> 8) & 0xff));
+  w.u64(records_.size());
+  for (const TraceRecord& r : records_) {
+    w.u8(static_cast<std::uint8_t>(r.proc));
+    w.u8(r.kind == AccessKind::Write ? 1 : 0);
+    w.u64(r.addr);
+  }
+  atomic_write_file(path, w.out);
 }
 
 Trace Trace::load(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("Trace::load: cannot open " + path);
-  // Header: magic(4) version(1) procs(1) line_bytes(2) count(8); each record
-  // is proc(1) kind(1) addr(8). Validate the declared record count against
-  // the real file size before reserving: a truncated or corrupt header must
-  // fail cleanly, not attempt a multi-gigabyte allocation.
-  constexpr std::uint64_t kHeaderBytes = 4 + 1 + 1 + 2 + 8;
-  constexpr std::uint64_t kRecordBytes = 1 + 1 + 8;
-  is.seekg(0, std::ios::end);
-  const std::uint64_t file_size = static_cast<std::uint64_t>(is.tellg());
-  is.seekg(0, std::ios::beg);
-  if (file_size < kHeaderBytes) {
+  const std::optional<std::string> bytes = read_file(path);
+  if (!bytes) throw std::runtime_error("Trace::load: cannot open " + path);
+  if (bytes->size() < kHeaderBytes) {
     throw std::runtime_error("Trace::load: truncated header");
   }
-  char magic[4];
-  is.read(magic, 4);
-  if (!is || std::memcmp(magic, kMagic, 4) != 0) {
+  RecordReader r(*bytes);
+  if (r.bytes(kMagic.size()) != kMagic) {
     throw std::runtime_error("Trace::load: bad magic");
   }
-  const int version = is.get();
-  if (version != kVersion) throw std::runtime_error("Trace::load: bad version");
+  if (r.u8() != kVersion) throw std::runtime_error("Trace::load: bad version");
   Trace t;
-  t.num_procs_ = static_cast<unsigned>(is.get());
-  const unsigned lo = static_cast<unsigned>(is.get());
-  const unsigned hi = static_cast<unsigned>(is.get());
-  t.line_bytes_ = lo | (hi << 8);
+  t.num_procs_ = r.u8();
+  t.line_bytes_ = r.u8();
+  t.line_bytes_ |= static_cast<unsigned>(r.u8()) << 8;
   if (t.num_procs_ == 0) {
     throw std::runtime_error("Trace::load: header declares zero processors");
   }
@@ -86,27 +61,30 @@ Trace Trace::load(const std::string& path) {
         "Trace::load: line_bytes not a power of two: " +
         std::to_string(t.line_bytes_));
   }
-  const std::uint64_t n = get_u64(is);
-  if (n > (file_size - kHeaderBytes) / kRecordBytes) {
+  // Validate the declared record count against the real file size before
+  // reserving: a corrupt header must fail cleanly, not attempt a
+  // multi-gigabyte allocation.
+  const std::uint64_t n = r.u64();
+  if (n > r.remaining() / kRecordBytes) {
     throw std::runtime_error(
         "Trace::load: header declares " + std::to_string(n) +
         " records but the file holds at most " +
-        std::to_string((file_size - kHeaderBytes) / kRecordBytes));
+        std::to_string(r.remaining() / kRecordBytes));
   }
   t.records_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    TraceRecord r;
-    r.proc = static_cast<ProcId>(is.get());
-    r.kind = is.get() ? AccessKind::Write : AccessKind::Read;
-    r.addr = get_u64(is);
-    if (r.proc >= t.num_procs_) {
+    TraceRecord rec;
+    rec.proc = static_cast<ProcId>(r.u8());
+    rec.kind = r.u8() != 0 ? AccessKind::Write : AccessKind::Read;
+    rec.addr = r.u64();
+    if (rec.proc >= t.num_procs_) {
       throw std::runtime_error(
           "Trace::load: record " + std::to_string(i) + " names proc " +
-          std::to_string(r.proc) + " of " + std::to_string(t.num_procs_));
+          std::to_string(rec.proc) + " of " + std::to_string(t.num_procs_));
     }
-    t.records_.push_back(r);
+    t.records_.push_back(rec);
   }
-  if (!is) throw std::runtime_error("Trace::load: truncated trace");
+  if (!r.ok()) throw std::runtime_error("Trace::load: truncated trace");
   return t;
 }
 
@@ -119,12 +97,8 @@ ReplayResult replay_trace(const Trace& trace, const MachineSpec& cfg) {
   // carries no placement metadata (a known limitation of trace-driven
   // methodology).
   AddressSpace as;
-  std::unique_ptr<MemorySystem> mem;
-  if (cfg.cluster_style == ClusterStyle::SharedMemory) {
-    mem = std::make_unique<ClusteredMemorySystem>(cfg, as);
-  } else {
-    mem = std::make_unique<CoherenceController>(cfg, as);
-  }
+  const std::unique_ptr<MemorySystem> mem =
+      make_memory_system(std::make_shared<const MachineSpec>(cfg), as);
 
   ReplayResult out;
   std::vector<Cycles> clock(cfg.num_procs, 0);
@@ -154,47 +128,16 @@ ReplayResult replay_trace(const Trace& trace, const MachineSpec& cfg) {
 }
 
 Trace record_trace(Program& prog, const MachineSpec& cfg) {
-  cfg.validate();
-  Trace trace(cfg.num_procs, cfg.cache.line_bytes);
-  // Run execution-driven with a recording decorator over the configured
-  // memory system. The inner system must be built over the program's address
-  // space, so mirror Simulator::run's construction here via a profiler-style
-  // override: record against a *stand-in* run.
-  struct Recorder final : MemorySystem {
-    explicit Recorder(const MachineSpec& c) : cfg(&c) {}
-    void bind(const AddressSpace& as) {
-      if (cfg->cluster_style == ClusterStyle::SharedMemory) {
-        inner = std::make_unique<ClusteredMemorySystem>(*cfg, as);
-      } else {
-        inner = std::make_unique<CoherenceController>(*cfg, as);
-      }
-    }
-    AccessResult read(ProcId p, Addr a, Cycles now) override {
-      out->append(TraceRecord{p, AccessKind::Read, a});
-      return inner->read(p, a, now);
-    }
-    AccessResult write(ProcId p, Addr a, Cycles now) override {
-      out->append(TraceRecord{p, AccessKind::Write, a});
-      return inner->write(p, a, now);
-    }
-    const MissCounters& cluster_counters(ClusterId c) const override {
-      return inner->cluster_counters(c);
-    }
-    MissCounters totals() const override { return inner->totals(); }
-    const MachineSpec* cfg;
-    std::unique_ptr<MemorySystem> inner;
-    Trace* out = nullptr;
-  };
-
-  // The recorder needs the AddressSpace created inside Simulator::run; since
-  // homes are first-touch there is no coupling beyond placement, which the
-  // recording run reproduces by building its own space: placement metadata
-  // affects only latency classes, not the reference stream we record.
-  AddressSpace as;
-  Recorder rec(cfg);
-  rec.bind(as);
-  rec.out = &trace;
   Simulator sim(cfg);
+  Trace trace(cfg.num_procs, cfg.cache.line_bytes);
+  // The recorder decorates a memory system of its own, built over its own
+  // AddressSpace rather than the one Simulator::run creates: homes are
+  // first-touch, and placement metadata affects only latency classes, not
+  // the reference stream recorded here.
+  AddressSpace as;
+  const std::unique_ptr<MemorySystem> inner =
+      make_memory_system(sim.spec(), as);
+  RecordingMemorySystem rec(*inner, trace);
   (void)sim.run(prog, &rec);
   return trace;
 }

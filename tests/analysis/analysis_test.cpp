@@ -137,12 +137,11 @@ TEST(SharedCacheCost, MakeCostRowNormalizes) {
 }
 
 TEST(SharedCacheCost, MakeCostRowRejectsMixedApps) {
-  SimResult a, b;
-  a.app_name = "fft";
-  b.app_name = "lu";
-  a.per_proc.push_back(TimeBuckets{1, 0, 0, 0});
-  b.per_proc.push_back(TimeBuckets{1, 0, 0, 0});
-  EXPECT_THROW(make_cost_row({a, b}, SharedCacheCostModel{}),
+  std::vector<SimResult> mixed(2);
+  mixed[0].app_name = "fft";
+  mixed[1].app_name = "lu";
+  for (SimResult& r : mixed) r.per_proc.push_back(TimeBuckets{1, 0, 0, 0});
+  EXPECT_THROW(make_cost_row(mixed, SharedCacheCostModel{}),
                std::invalid_argument);
   EXPECT_THROW(make_cost_row({}, SharedCacheCostModel{}),
                std::invalid_argument);

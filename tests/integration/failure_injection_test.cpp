@@ -312,7 +312,7 @@ TEST(CoherenceAudit, CatchesCorruptedDirectoryEntry) {
   cfg.validate();
   AddressSpace as;
   const Addr base = as.alloc(4096, "mem");
-  CoherenceController cc(cfg, as);
+  CoherenceController cc(std::make_shared<const MachineSpec>(cfg), as);
   (void)cc.read(0, base, 0);
   (void)cc.write(2, base + 64, 0);
   EXPECT_NO_THROW(cc.audit());
@@ -335,7 +335,7 @@ TEST(CoherenceAudit, CatchesStateMismatch) {
   MachineSpec cfg = mc();
   AddressSpace as;
   const Addr base = as.alloc(4096, "mem");
-  CoherenceController cc(cfg, as);
+  CoherenceController cc(std::make_shared<const MachineSpec>(cfg), as);
   (void)cc.write(0, base, 0);  // line EXCLUSIVE in cluster 0
   EXPECT_NO_THROW(cc.audit());
 
@@ -349,7 +349,7 @@ TEST(CoherenceAudit, CatchesClusteredMemoryCorruption) {
   cfg.cluster_style = ClusterStyle::SharedMemory;
   AddressSpace as;
   const Addr base = as.alloc(4096, "mem");
-  ClusteredMemorySystem cms(cfg, as);
+  ClusteredMemorySystem cms(std::make_shared<const MachineSpec>(cfg), as);
   (void)cms.read(0, base, 0);
   (void)cms.read(3, base, 0);  // second cluster fetches too
   EXPECT_NO_THROW(cms.audit());

@@ -13,11 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "src/apps/app.hpp"
 #include "src/core/simulator.hpp"
-#include "src/mem/clustered_memory.hpp"
-#include "src/mem/coherence.hpp"
+#include "src/mem/address_space.hpp"
+#include "src/mem/memory_system.hpp"
 #include "src/obs/manifest.hpp"
 
 namespace csim {
@@ -28,13 +29,9 @@ namespace {
 /// so processors never engage the hit filter.
 class FilterOffMemory final : public MemorySystem {
  public:
-  FilterOffMemory(const MachineSpec& cfg, const AddressSpace& as) {
-    if (cfg.cluster_style == ClusterStyle::SharedMemory) {
-      inner_ = std::make_unique<ClusteredMemorySystem>(cfg, as);
-    } else {
-      inner_ = std::make_unique<CoherenceController>(cfg, as);
-    }
-  }
+  FilterOffMemory(std::shared_ptr<const MachineSpec> spec,
+                  const AddressSpace& as)
+      : inner_(make_memory_system(std::move(spec), as)) {}
   AccessResult read(ProcId p, Addr a, Cycles now) override {
     return inner_->read(p, a, now);
   }
@@ -76,8 +73,8 @@ std::uint64_t digest_without_filter(const char* app, const MachineSpec& cfg) {
   // the in-run setup() will make (the same seam src/trace/trace.cpp uses).
   AddressSpace as;
   prog->setup(as, cfg);
-  FilterOffMemory mem(cfg, as);
   Simulator sim(cfg);
+  FilterOffMemory mem(sim.spec(), as);
   return obs::result_digest(sim.run(*prog, &mem));
 }
 

@@ -28,7 +28,8 @@ class ClusteredMemoryFixture : public ::testing::Test {
   Addr page(unsigned c) const { return base_ + c * 4096; }
   void make(std::size_t private_bytes = 0) {
     cfg_.cache.per_proc_bytes = private_bytes;
-    mem_ = std::make_unique<ClusteredMemorySystem>(cfg_, as_);
+    mem_ = std::make_unique<ClusteredMemorySystem>(
+        std::make_shared<const MachineSpec>(cfg_), as_);
   }
 
   MachineSpec cfg_;

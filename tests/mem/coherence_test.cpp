@@ -24,7 +24,8 @@ class CoherenceFixture : public ::testing::Test {
 
   void make(std::size_t per_proc_bytes = 0) {
     cfg_.cache.per_proc_bytes = per_proc_bytes;
-    coh_ = std::make_unique<CoherenceController>(cfg_, as_);
+    coh_ = std::make_unique<CoherenceController>(
+        std::make_shared<const MachineSpec>(cfg_), as_);
   }
 
   MachineSpec cfg_;

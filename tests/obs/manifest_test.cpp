@@ -67,14 +67,31 @@ TEST(RunManifest, DigestHexIs16LowercaseDigits) {
   EXPECT_EQ(obs::digest_hex(0xDEADBEEFCAFEF00DULL), "deadbeefcafef00d");
 }
 
+/// A one-row sweep as run_sweep returns it: the row and its outcome.
+SweepResult one_row_sweep(const SimResult& r, const RowOutcome& outcome) {
+  SweepResult sweep;
+  sweep.rows = {r};
+  sweep.outcomes = {outcome};
+  return sweep;
+}
+
 TEST(RunManifest, ManifestJsonIsByteStableAndParses) {
   const SimResult a = run_fft(1, ClusterStyle::SharedCache);
   SimResult b = a;
   b.host_seconds = a.host_seconds * 2 + 1;  // host time may always differ
+  const RowOutcome outcome{RowOutcome::Status::Ok, 2, /*from_journal=*/true,
+                           0xabcULL};
+  obs::SweepProvenance prov;
+  prov.shard_index = 1;
+  prov.shard_count = 3;
+  prov.rows_total = 7;
+  prov.cache_hits = 1;
 
   std::ostringstream os1, os2;
-  obs::write_run_manifest(os1, "test_tool", {a}, 1700000000);
-  obs::write_run_manifest(os2, "test_tool", {b}, 1700000000);
+  obs::write_run_manifest(os1, "test_tool", one_row_sweep(a, outcome),
+                          1700000000, prov);
+  obs::write_run_manifest(os2, "test_tool", one_row_sweep(b, outcome),
+                          1700000000, prov);
   // Identical apart from host_seconds: strip that line and compare.
   std::string s1 = os1.str(), s2 = os2.str();
   const auto strip_host = [](std::string& s) {
@@ -88,10 +105,15 @@ TEST(RunManifest, ManifestJsonIsByteStableAndParses) {
   EXPECT_EQ(s1, s2) << "manifest must be byte-stable modulo host time";
 
   const testjson::Value doc = testjson::parse(os1.str());
-  EXPECT_EQ(doc.at("schema").str, "csim.run_manifest/3");
+  EXPECT_EQ(doc.at("schema").str, "csim.run_manifest/5");
   EXPECT_EQ(doc.at("tool").str, "test_tool");
   EXPECT_EQ(doc.at("git").str, std::string(obs::git_describe()));
   EXPECT_EQ(doc.at("generated_unix").number, 1700000000.0);
+  EXPECT_EQ(doc.at("shard").at("index").number, 1.0);
+  EXPECT_EQ(doc.at("shard").at("count").number, 3.0);
+  EXPECT_EQ(doc.at("shard").at("rows_total").number, 7.0);
+  EXPECT_EQ(doc.at("cache_hits").number, 1.0);
+  EXPECT_FALSE(doc.has("journal_warnings"));
   ASSERT_EQ(doc.at("rows").array.size(), 1u);
   const testjson::Value& row = doc.at("rows").array[0];
   EXPECT_EQ(row.at("app").str, "fft");
@@ -99,6 +121,11 @@ TEST(RunManifest, ManifestJsonIsByteStableAndParses) {
   EXPECT_EQ(row.at("wall_time").number, static_cast<double>(a.wall_time));
   EXPECT_EQ(row.at("digest").str, obs::digest_hex(obs::result_digest(a)));
   EXPECT_EQ(row.at("config").at("ppc").number, 1.0);
+  const testjson::Value& oc = row.at("outcome");
+  EXPECT_EQ(oc.at("status").str, "ok");
+  EXPECT_EQ(oc.at("attempts").number, 2.0);
+  EXPECT_TRUE(oc.at("from_journal").boolean);
+  EXPECT_EQ(oc.at("config_digest").str, "0000000000000abc");
   EXPECT_EQ(doc.at("sweep_digest").str,
             obs::digest_hex(obs::sweep_digest({a})));
 }
@@ -108,21 +135,35 @@ TEST(RunManifest, FailedRowCarriesErrorKindInsteadOfStats) {
   failed.ok = false;
   failed.app_name = "bad\"app";  // exercises JSON escaping too
   failed.error_kind = "protocol";
+  SweepResult sweep =
+      one_row_sweep(failed, RowOutcome{RowOutcome::Status::Failed, 3});
+  sweep.journal_warnings = {"journal: x.csj: checksum mismatch"};
+  obs::SweepProvenance prov;
+  prov.rows_total = 1;  // unsharded: shard 0/1 over every row
   std::ostringstream os;
-  obs::write_run_manifest(os, "t", {failed}, 0);
+  obs::write_run_manifest(os, "t", sweep, 0, prov);
   const testjson::Value doc = testjson::parse(os.str());
+  EXPECT_EQ(doc.at("shard").at("index").number, 0.0);
+  EXPECT_EQ(doc.at("shard").at("count").number, 1.0);
+  EXPECT_EQ(doc.at("shard").at("rows_total").number, 1.0);
+  EXPECT_EQ(doc.at("cache_hits").number, 0.0);
+  ASSERT_EQ(doc.at("journal_warnings").array.size(), 1u);
+  EXPECT_EQ(doc.at("journal_warnings").array[0].str,
+            "journal: x.csj: checksum mismatch");
   const testjson::Value& row = doc.at("rows").array[0];
   EXPECT_FALSE(row.at("ok").boolean);
   EXPECT_EQ(row.at("app").str, "bad\"app");
   EXPECT_EQ(row.at("error_kind").str, "protocol");
   EXPECT_FALSE(row.has("wall_time"));
+  EXPECT_EQ(row.at("outcome").at("status").str, "failed");
+  EXPECT_EQ(row.at("outcome").at("attempts").number, 3.0);
 }
 
 TEST(RunManifest, WriteFileRejectsBadPath) {
-  EXPECT_THROW(
-      obs::write_run_manifest_file("/nonexistent/dir/m.json", "t",
-                                   std::vector<SimResult>{}),
-      std::runtime_error);
+  EXPECT_THROW(obs::write_run_manifest_file("/nonexistent/dir/m.json", "t",
+                                            SweepResult{},
+                                            obs::SweepProvenance{}),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -7,10 +7,12 @@
 
 #include <atomic>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
 
+#include "src/apps/app.hpp"
 #include "src/core/error.hpp"
 #include "src/core/simulator.hpp"
 #include "src/mem/address_space.hpp"
@@ -414,6 +416,66 @@ TEST(SweepPolicy, ThrowingFactoryDisablesJournalingGracefully) {
   ASSERT_FALSE(sweep.journal_warnings.empty());
   EXPECT_NE(sweep.journal_warnings[0].find("identity probe"),
             std::string::npos);
+}
+
+// --- Checkpoint grouping -------------------------------------------------------
+
+/// Four sampled lu rows that differ only in a detailed-interval knob (the
+/// remote clean-miss latency), so they share one warm_config_digest.
+std::vector<MachineSpec> latency_variants() {
+  std::vector<MachineSpec> configs;
+  for (const Cycles extra : {0u, 50u, 100u, 150u}) {
+    MachineSpec c = MachineSpecBuilder{}
+                        .procs(16)
+                        .procs_per_cluster(4)
+                        .cache_kb(4)
+                        .sample(4096, 4096, 16384)
+                        .build();
+    c.latency.remote_clean += extra;
+    configs.push_back(c);
+  }
+  return configs;
+}
+
+TEST(SweepPolicy, CheckpointGroupSharesOneWarmupAcrossWorkers) {
+  const TempDir tmp("ckpt_group");
+  SweepRequest req;
+  req.make_app = [] { return make_app("lu", ProblemScale::Test); };
+  req.configs = latency_variants();
+  const SweepResult reference = run_sweep(req);
+
+  // The first row warms in process and saves the checkpoint; the other
+  // three run in the second wave and fast-forward from it concurrently.
+  req.policy.checkpoint_dir = tmp.path();
+  const SweepResult first = run_sweep(req);
+  std::vector<fs::path> files;
+  for (const auto& e : fs::directory_iterator(tmp.path())) {
+    files.push_back(e.path());
+  }
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files[0].extension(), ".csc");
+  ASSERT_EQ(first.rows.size(), reference.rows.size());
+  for (std::size_t i = 0; i < first.rows.size(); ++i) {
+    ASSERT_TRUE(first.rows[i].ok) << first.rows[i].error;
+    const std::uint64_t d = obs::result_digest(first.rows[i]);
+    EXPECT_EQ(d, obs::result_digest(reference.rows[i])) << "row " << i;
+    for (std::size_t j = 0; j < i; ++j) {
+      EXPECT_NE(d, obs::result_digest(first.rows[j])) << i << " vs " << j;
+    }
+  }
+
+  // A second sweep loads the checkpoint for every row and rewrites nothing.
+  const auto written = fs::last_write_time(files[0]);
+  const SweepResult second = run_sweep(req);
+  EXPECT_EQ(fs::last_write_time(files[0]), written);
+  EXPECT_EQ(std::distance(fs::directory_iterator(tmp.path()),
+                          fs::directory_iterator{}),
+            1);
+  for (std::size_t i = 0; i < second.rows.size(); ++i) {
+    EXPECT_EQ(obs::result_digest(second.rows[i]),
+              obs::result_digest(reference.rows[i]))
+        << "row " << i;
+  }
 }
 
 // --- Reporting ---------------------------------------------------------------
