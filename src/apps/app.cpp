@@ -41,8 +41,8 @@ std::vector<std::string> app_names() {
   return out;
 }
 
-Proc::RunAwaiter stream_read(Proc& p, Addr base, std::size_t bytes,
-                             Cycles compute_per_line) {
+Proc::OpAwaiter stream_read(Proc& p, Addr base, std::size_t bytes,
+                            Cycles compute_per_line) {
   const unsigned line = p.config().cache.line_bytes;
   const Addr first = base & ~Addr{line - 1};
   const Addr last = (base + bytes + line - 1) & ~Addr{line - 1};
@@ -50,8 +50,8 @@ Proc::RunAwaiter stream_read(Proc& p, Addr base, std::size_t bytes,
                /*is_write=*/false, compute_per_line);
 }
 
-Proc::RunAwaiter stream_write(Proc& p, Addr base, std::size_t bytes,
-                              Cycles compute_per_line) {
+Proc::OpAwaiter stream_write(Proc& p, Addr base, std::size_t bytes,
+                             Cycles compute_per_line) {
   const unsigned line = p.config().cache.line_bytes;
   const Addr first = base & ~Addr{line - 1};
   const Addr last = (base + bytes + line - 1) & ~Addr{line - 1};

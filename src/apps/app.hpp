@@ -61,11 +61,11 @@ std::vector<std::string> app_names();
 /// busy cycles interleaved. Models streaming over a data block at line
 /// granularity. Issued as a single run (Proc::run): one awaitable for the
 /// whole stream instead of one coroutine suspension point per line.
-Proc::RunAwaiter stream_read(Proc& p, Addr base, std::size_t bytes,
-                             Cycles compute_per_line = 0);
+Proc::OpAwaiter stream_read(Proc& p, Addr base, std::size_t bytes,
+                            Cycles compute_per_line = 0);
 
 /// Writes every cache line of [base, base+bytes) once.
-Proc::RunAwaiter stream_write(Proc& p, Addr base, std::size_t bytes,
-                              Cycles compute_per_line = 0);
+Proc::OpAwaiter stream_write(Proc& p, Addr base, std::size_t bytes,
+                             Cycles compute_per_line = 0);
 
 }  // namespace csim

@@ -72,8 +72,8 @@ void LuApp::setup(AddressSpace& as, const MachineSpec& mc) {
   bar_ = std::make_unique<Barrier>(mc.num_procs);
 }
 
-Proc::RunAwaiter LuApp::rw_block_lines(Proc& p, unsigned bi, unsigned bj,
-                                       Cycles compute_per_line) {
+Proc::OpAwaiter LuApp::rw_block_lines(Proc& p, unsigned bi, unsigned bj,
+                                      Cycles compute_per_line) {
   const unsigned line = p.config().cache.line_bytes;
   const std::size_t bytes =
       std::size_t{cfg_.block} * cfg_.block * sizeof(double);

@@ -58,8 +58,8 @@ class LuApp final : public Program {
 
   /// Touch every line of a block for read/write with interleaved compute,
   /// issued as one run (a single awaitable for the whole block).
-  Proc::RunAwaiter rw_block_lines(Proc& p, unsigned bi, unsigned bj,
-                                  Cycles compute_per_line);
+  Proc::OpAwaiter rw_block_lines(Proc& p, unsigned bi, unsigned bj,
+                                 Cycles compute_per_line);
 
   LuConfig cfg_;
   unsigned nb_ = 0;  ///< blocks per dimension

@@ -45,82 +45,50 @@ void Proc::note_if_finished() noexcept {
   }
 }
 
-bool Proc::do_read(Addr a, Cycles& resume_at) {
-  if (sampling_ != nullptr) return sampled_read(a, resume_at);
-  return detail_read(a, resume_at);
-}
-
-bool Proc::do_write(Addr a, Cycles& resume_at) {
-  if (sampling_ != nullptr) return sampled_write(a, resume_at);
-  return detail_write(a, resume_at);
-}
-
-bool Proc::sampled_read(Addr a, Cycles& resume_at) {
-  if (sampling_->detail()) {
-    const bool ok = detail_read(a, resume_at);
-    sampling_->on_ref(now_);
-    return ok;
+bool Proc::access(Addr a, bool write, Cycles& resume_at) {
+  if (sampling_ == nullptr) {
+    return write ? detail_write(a, resume_at) : detail_read(a, resume_at);
   }
-  return warm_read(a, resume_at);
-}
-
-bool Proc::sampled_write(Addr a, Cycles& resume_at) {
-  if (sampling_->detail()) {
-    const bool ok = detail_write(a, resume_at);
-    sampling_->on_ref(now_);
-    return ok;
-  }
-  return warm_write(a, resume_at);
-}
-
-bool Proc::warm_read(Addr a, Cycles& resume_at) {
-  if (!sampling_->fast_forward()) {
-    const Addr line = a & line_mask_;
-    bool filtered = false;
-    if (gen_ != nullptr) {
-      const FilterEntry& e = warm_filter_[warm_slot(line)];
-      if (e.line == line && e.gen == *gen_) {
-        ++hot_->reads;
-        ++hot_->read_hits;
-        if (touch_cache_ != nullptr) touch_cache_->touch(line);
-        filtered = true;
-      }
-    }
-    if (!filtered) {
-      const AccessResult r = coh_->read(id_, a, now_);
-      if (r.hint != MruHint::None && gen_ != nullptr) {
-        warm_filter_[warm_slot(line)] =
-            FilterEntry{line, *gen_, r.hint == MruHint::ReadWrite};
-      }
-    }
-  }
-  const Cycles hit = cfg_->hit_latency;
-  buckets_.cpu += hit;
-  now_ += hit;
+  if (!sampling_->detail()) return warm_access(a, write, resume_at);
+  const bool ok =
+      write ? detail_write(a, resume_at) : detail_read(a, resume_at);
   sampling_->on_ref(now_);
-  return check_slice(resume_at);
+  return ok;
 }
 
-bool Proc::warm_write(Addr a, Cycles& resume_at) {
+void Proc::mirror_hits(Addr line, bool write, std::uint64_t n) noexcept {
+  if (write) {
+    hot_->writes += n;
+    hot_->write_hits += n;
+  } else {
+    hot_->reads += n;
+    hot_->read_hits += n;
+  }
+  if (touch_cache_ != nullptr) touch_cache_->touch(line);
+}
+
+template <std::size_t Slots>
+std::optional<AccessResult> Proc::filtered_access(HitTable<Slots>* table,
+                                                  Addr a, bool write,
+                                                  std::uint64_t repeats) {
+  const Addr line = a & line_mask_;
+  if (gen_ != nullptr && table->hit(line, *gen_, write)) {
+    // Repeat hit to a hinted line, cluster generation unchanged: bypass the
+    // memory system, mirroring its hit-path counter updates and (for bounded
+    // LRU caches) its most-recently-used promotion.
+    mirror_hits(line, write, repeats + 1);
+    return std::nullopt;
+  }
+  const AccessResult r =
+      write ? coh_->write(id_, a, now_) : coh_->read(id_, a, now_);
+  if (gen_ != nullptr) table->remember(line, *gen_, r.hint);
+  if (repeats != 0) mirror_hits(line, write, repeats);
+  return r;
+}
+
+bool Proc::warm_access(Addr a, bool write, Cycles& resume_at) {
   if (!sampling_->fast_forward()) {
-    const Addr line = a & line_mask_;
-    bool filtered = false;
-    if (gen_ != nullptr) {
-      const FilterEntry& e = warm_filter_[warm_slot(line)];
-      if (e.line == line && e.writable && e.gen == *gen_) {
-        ++hot_->writes;
-        ++hot_->write_hits;
-        if (touch_cache_ != nullptr) touch_cache_->touch(line);
-        filtered = true;
-      }
-    }
-    if (!filtered) {
-      const AccessResult r = coh_->write(id_, a, now_);
-      if (r.hint != MruHint::None && gen_ != nullptr) {
-        warm_filter_[warm_slot(line)] =
-            FilterEntry{line, *gen_, r.hint == MruHint::ReadWrite};
-      }
-    }
+    filtered_access(warm_table_.get(), a, write, 0);
   }
   const Cycles hit = cfg_->hit_latency;
   buckets_.cpu += hit;
@@ -130,28 +98,14 @@ bool Proc::warm_write(Addr a, Cycles& resume_at) {
 }
 
 bool Proc::detail_read(Addr a, Cycles& resume_at) {
-  const Addr line = a & line_mask_;
-  if (gen_ != nullptr) {
-    const FilterEntry& e = filter_[filter_slot(line)];
-    if (e.line == line && e.gen == *gen_) {
-      // Repeat hit to a hinted line, cluster generation unchanged: bypass
-      // the memory system, mirroring its hit-path counter updates and (for
-      // bounded LRU caches) its most-recently-used promotion.
-      ++hot_->reads;
-      ++hot_->read_hits;
-      if (touch_cache_ != nullptr) touch_cache_->touch(line);
-      const Cycles hit = access_cost();
-      buckets_.cpu += hit;
-      now_ += hit;
-      return check_slice(resume_at);
-    }
-  }
-  const AccessResult r = coh_->read(id_, a, now_);
-  if (r.hint != MruHint::None && gen_ != nullptr) {
-    filter_[filter_slot(line)] =
-        FilterEntry{line, *gen_, r.hint == MruHint::ReadWrite};
-  }
+  const auto result = filtered_access(&detail_table_, a, false, 0);
   const Cycles hit = access_cost();
+  if (!result) {  // a repeat hit, served by the table
+    buckets_.cpu += hit;
+    now_ += hit;
+    return check_slice(resume_at);
+  }
+  const AccessResult& r = *result;
   switch (r.kind) {
     case AccessResult::Kind::Hit:
       buckets_.cpu += hit;
@@ -200,29 +154,11 @@ bool Proc::detail_read(Addr a, Cycles& resume_at) {
 }
 
 bool Proc::detail_write(Addr a, Cycles& resume_at) {
-  const Addr line = a & line_mask_;
-  const FilterEntry* fe = nullptr;
-  if (gen_ != nullptr) {
-    const FilterEntry& e = filter_[filter_slot(line)];
-    if (e.line == line && e.writable && e.gen == *gen_) fe = &e;
-  }
-  if (fe != nullptr) {
-    // Repeat store to our own EXCLUSIVE line, cluster generation unchanged:
-    // bypass the memory system, mirroring its write-hit counter updates and
-    // (for bounded LRU caches) its most-recently-used promotion.
-    ++hot_->writes;
-    ++hot_->write_hits;
-    if (touch_cache_ != nullptr) touch_cache_->touch(line);
-  } else {
-    const AccessResult r = coh_->write(id_, a, now_);
-    if (r.hint != MruHint::None && gen_ != nullptr) {
-      filter_[filter_slot(line)] =
-          FilterEntry{line, *gen_, r.hint == MruHint::ReadWrite};
-    }
+  if (const auto r = filtered_access(&detail_table_, a, true, 0)) {
     // The store buffer hides miss latency but not the port queue: issue
     // itself waits for the bank/bus, a processor-visible contention stall.
-    buckets_.contention += r.contention;
-    now_ += r.contention;
+    buckets_.contention += r->contention;
+    now_ += r->contention;
   }
   // Store issue occupies the cache for one access; all miss/upgrade latency
   // is hidden by the store buffer under relaxed consistency.
@@ -239,43 +175,19 @@ bool Proc::do_compute(Cycles n, Cycles& resume_at) {
 }
 
 bool Proc::run_step(Cycles& resume_at) {
-  if (sampling_ != nullptr) return run_step_sampled(resume_at);
   RunState& r = run_;
   while (r.idx < r.count) {
-    while (r.pc < r.num_ops) {
-      const RunOp& op = r.ops[r.pc];
-      ++r.pc;
-      bool ok;
-      switch (op.kind) {
-        case RunOp::Kind::Read:
-          ok = do_read(op.base + Addr{r.idx} * op.stride, resume_at);
-          break;
-        case RunOp::Kind::Write:
-          ok = do_write(op.base + Addr{r.idx} * op.stride, resume_at);
-          break;
-        default:
-          ok = do_compute(op.base, resume_at);
-          break;
-      }
-      if (!ok) return false;
-    }
-    r.pc = 0;
-    ++r.idx;
-  }
-  return true;
-}
-
-bool Proc::run_step_sampled(Cycles& resume_at) {
-  RunState& r = run_;
-  while (r.idx < r.count) {
-    // Batched fast path: in a non-detail regime, whole groups of run
+    // Batched warming: in a non-detail regime, whole groups of run
     // iterations retire per memory probe, whatever the op mix. Requires the
     // hit filter (gen_) to mirror the repeat-hit counter updates in bulk —
-    // except in FastForward, which makes no memory calls at all. Per-ref
-    // and batched warming retire identical timing (flat costs; the
-    // iteration that crosses a slice, regime, or poll point always runs
-    // per reference), so mixing them across runs stays exact.
-    if (r.pc == 0 && !sampling_->detail() &&
+    // except in FastForward, which makes no memory calls at all. Batched and
+    // per-reference warming retire the same references at the same flat
+    // costs, but their results can differ (docs/PERFORMANCE.md, "Making
+    // warming fast"): a batch may end exactly on a regime boundary, charging
+    // that iteration's trailing computes to warming; and retiring one op's
+    // repeat hits before the next op's first access hides conflict evictions
+    // in direct-mapped caches.
+    if (sampling_ != nullptr && r.pc == 0 && !sampling_->detail() &&
         (sampling_->fast_forward() || gen_ != nullptr)) {
       bool progressed = false;
       if (!warm_run_batch(resume_at, progressed)) return false;
@@ -284,18 +196,11 @@ bool Proc::run_step_sampled(Cycles& resume_at) {
     while (r.pc < r.num_ops) {
       const RunOp& op = r.ops[r.pc];
       ++r.pc;
-      bool ok;
-      switch (op.kind) {
-        case RunOp::Kind::Read:
-          ok = do_read(op.base + Addr{r.idx} * op.stride, resume_at);
-          break;
-        case RunOp::Kind::Write:
-          ok = do_write(op.base + Addr{r.idx} * op.stride, resume_at);
-          break;
-        default:
-          ok = do_compute(op.base, resume_at);
-          break;
-      }
+      const bool ok =
+          op.kind == RunOp::Kind::Compute
+              ? do_compute(op.base, resume_at)
+              : access(op.base + Addr{r.idx} * op.stride,
+                       op.kind == RunOp::Kind::Write, resume_at);
       if (!ok) return false;
     }
     r.pc = 0;
@@ -331,7 +236,8 @@ bool Proc::warm_run_batch(Cycles& resume_at, bool& progressed) {
   if (in_slice < k) k = in_slice;
   // Cap 3: never cross a regime boundary or a watchdog poll point (the
   // crossing iteration runs per reference, so boundaries land mid-iteration
-  // on exactly the right reference).
+  // on the right reference). A batch can still end exactly on a boundary,
+  // and then its last iteration's trailing computes are charged to warming.
   if (mem_per_iter != 0) {
     const std::uint64_t in_regime = sampling_->max_batch() / mem_per_iter;
     if (in_regime < k) k = in_regime;
@@ -341,76 +247,49 @@ bool Proc::warm_run_batch(Cycles& resume_at, bool& progressed) {
     return true;
   }
 
-  if (!sampling_->fast_forward()) {
-    // Memory state (FastForward makes no accesses): walk the group in
-    // line-sized chunks — within a chunk every memory op stays on one cache
-    // line, so a single real access (or warm-filter probe) covers it and
-    // the rest are exactly the repeat hits the filter would short-circuit,
-    // bumped in bulk. Chunking inside one call, instead of capping the
-    // batch at a line crossing, amortizes the batch setup over strided
-    // streams whose chunks are a single iteration (LU's block sweeps).
-    // (Filter collisions between ops are harmless: the filter is a
-    // digest-neutral fast path, so extra real accesses to a warm line
-    // count identically.)
-    std::uint64_t remaining = k;
-    while (remaining != 0) {
-      std::uint64_t chunk = remaining;
-      for (unsigned j = 0; j < r.num_ops && chunk > 1; ++j) {
-        const RunOp& op = r.ops[j];
-        if (op.kind == RunOp::Kind::Compute || op.stride == 0) continue;
-        const Addr addr = op.base + Addr{r.idx} * op.stride;
-        const Addr next_line = (addr | ~line_mask_) + 1;
-        const std::uint64_t in_line =
-            (next_line - addr + op.stride - 1) / op.stride;
-        if (in_line < chunk) chunk = in_line;
-      }
-      for (unsigned j = 0; j < r.num_ops; ++j) {
-        const RunOp& op = r.ops[j];
-        if (op.kind == RunOp::Kind::Compute) continue;
-        const bool is_read = op.kind == RunOp::Kind::Read;
-        const Addr addr = op.base + Addr{r.idx} * op.stride;
-        const Addr line = addr & line_mask_;
-        const FilterEntry& e = warm_filter_[warm_slot(line)];
-        std::uint64_t repeats = chunk;
-        if (!(e.line == line && (is_read || e.writable) && e.gen == *gen_)) {
-          const AccessResult ar = is_read ? coh_->read(id_, addr, now_)
-                                          : coh_->write(id_, addr, now_);
-          if (ar.hint != MruHint::None) {
-            warm_filter_[warm_slot(line)] =
-                FilterEntry{line, *gen_, ar.hint == MruHint::ReadWrite};
-          }
-          repeats = chunk - 1;
-        }
-        if (repeats != 0) {
-          if (is_read) {
-            hot_->reads += repeats;
-            hot_->read_hits += repeats;
-          } else {
-            hot_->writes += repeats;
-            hot_->write_hits += repeats;
-          }
-          if (touch_cache_ != nullptr) touch_cache_->touch(line);
-        }
-      }
-      // Advance the local clock per chunk so real accesses carry the same
-      // timestamps a line-capped batch sequence would have issued.
-      buckets_.cpu += chunk * per_iter;
-      now_ += chunk * per_iter;
-      r.idx += static_cast<std::uint32_t>(chunk);
-      remaining -= chunk;
+  // Walk the group in line-sized chunks — within a chunk every memory op
+  // stays on one cache line, so a single real access (or table probe) covers
+  // it and the rest are mirrored as repeat hits, in bulk. With direct-mapped
+  // caches another op's access can evict the line in between, where
+  // per-reference warming would miss again. Chunking inside one call,
+  // instead of capping the batch at a line crossing, amortizes the batch
+  // setup over strided streams whose chunks are a single iteration (LU's
+  // block sweeps). (Table collisions between ops are harmless: the filter is
+  // a digest-neutral fast path, so extra real accesses to a warm line count
+  // identically.) FastForward makes no memory accesses, so it retires the
+  // whole group as one chunk.
+  const bool touch_memory = !sampling_->fast_forward();
+  for (std::uint64_t remaining = k; remaining != 0;) {
+    std::uint64_t chunk = remaining;
+    for (unsigned j = 0; touch_memory && j < r.num_ops && chunk > 1; ++j) {
+      const RunOp& op = r.ops[j];
+      if (op.kind == RunOp::Kind::Compute || op.stride == 0) continue;
+      const Addr addr = op.base + Addr{r.idx} * op.stride;
+      const Addr next_line = (addr | ~line_mask_) + 1;
+      const std::uint64_t in_line =
+          (next_line - addr + op.stride - 1) / op.stride;
+      if (in_line < chunk) chunk = in_line;
     }
-  } else {
-    buckets_.cpu += k * per_iter;
-    now_ += k * per_iter;
-    r.idx += static_cast<std::uint32_t>(k);
+    for (unsigned j = 0; touch_memory && j < r.num_ops; ++j) {
+      const RunOp& op = r.ops[j];
+      if (op.kind == RunOp::Kind::Compute) continue;
+      filtered_access(warm_table_.get(), op.base + Addr{r.idx} * op.stride,
+                      op.kind == RunOp::Kind::Write, chunk - 1);
+    }
+    // Advance the local clock per chunk so real accesses carry the same
+    // timestamps a line-capped batch sequence would have issued.
+    buckets_.cpu += chunk * per_iter;
+    now_ += chunk * per_iter;
+    r.idx += static_cast<std::uint32_t>(chunk);
+    remaining -= chunk;
   }
   if (mem_per_iter != 0) sampling_->on_refs(k * mem_per_iter, now_);
   progressed = true;
   return check_slice(resume_at);
 }
 
-Proc::RunAwaiter Proc::run(const RunOp* ops, unsigned num_ops,
-                           std::uint32_t count) {
+Proc::OpAwaiter Proc::run(const RunOp* ops, unsigned num_ops,
+                          std::uint32_t count) {
   if (num_ops > kMaxRunOps) {
     throw std::invalid_argument("Proc::run: more than kMaxRunOps ops");
   }
@@ -421,25 +300,25 @@ Proc::RunAwaiter Proc::run(const RunOp* ops, unsigned num_ops,
   r.idx = 0;
   r.count = count;
   r.active = true;
-  RunAwaiter aw{this};
+  OpAwaiter aw{this};
   aw.ready = run_step(aw.resume_at);
   if (aw.ready) r.active = false;
   return aw;
 }
 
-Proc::RunAwaiter Proc::run(std::initializer_list<RunOp> ops,
-                           std::uint32_t count) {
+Proc::OpAwaiter Proc::run(std::initializer_list<RunOp> ops,
+                          std::uint32_t count) {
   return run(ops.begin(), static_cast<unsigned>(ops.size()), count);
 }
 
-Proc::RunAwaiter Proc::run(Addr base, Addr stride, std::uint32_t count,
-                           bool is_write, Cycles compute_per_ref) {
-  const RunOp access =
+Proc::OpAwaiter Proc::run(Addr base, Addr stride, std::uint32_t count,
+                          bool is_write, Cycles compute_per_ref) {
+  const RunOp ref =
       is_write ? RunOp::write(base, stride) : RunOp::read(base, stride);
   if (compute_per_ref != 0) {
-    return run({access, RunOp::compute(compute_per_ref)}, count);
+    return run({ref, RunOp::compute(compute_per_ref)}, count);
   }
-  return run({access}, count);
+  return run({ref}, count);
 }
 
 bool Proc::BarrierAwaiter::await_ready() const {

@@ -20,9 +20,11 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <coroutine>
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <optional>
 
 #include "src/core/machine.hpp"
 #include "src/core/event_queue.hpp"
@@ -68,7 +70,8 @@ class Proc : public EventQueue::Resumable {
       gen_ = coh.generation_addr(cluster_);
       touch_cache_ = coh.touch_cache(id_);
     }
-    while ((Addr{1} << line_shift_) < cfg.cache.line_bytes) ++line_shift_;
+    detail_table_.line_shift =
+        static_cast<unsigned>(std::countr_zero(cfg.cache.line_bytes));
     if (cfg.model_shared_hit_costs && cfg.procs_per_cluster > 1) {
       const unsigned n = cfg.procs_per_cluster;
       const double m = static_cast<double>(cfg.banks_per_proc) * n;
@@ -107,12 +110,12 @@ class Proc : public EventQueue::Resumable {
 
   OpAwaiter read(Addr a) {
     OpAwaiter aw{this};
-    aw.ready = do_read(a, aw.resume_at);
+    aw.ready = access(a, false, aw.resume_at);
     return aw;
   }
   OpAwaiter write(Addr a) {
     OpAwaiter aw{this};
-    aw.ready = do_write(a, aw.resume_at);
+    aw.ready = access(a, true, aw.resume_at);
     return aw;
   }
   OpAwaiter compute(Cycles n) {
@@ -141,18 +144,6 @@ class Proc : public EventQueue::Resumable {
     }
   };
 
-  /// Awaitable for a whole run; see Proc::run.
-  struct RunAwaiter {
-    Proc* p;
-    Cycles resume_at = 0;
-    bool ready = true;
-    bool await_ready() const noexcept { return ready; }
-    void await_suspend(std::coroutine_handle<> h) const {
-      p->schedule_resume(resume_at, h);
-    }
-    void await_resume() const noexcept {}
-  };
-
   /// Issues a run: `count` elements, each executing `ops` in order (reads and
   /// writes at base + i*stride, computes of a fixed per-element cost).
   /// Awaiting the result retires the whole run exactly as the equivalent
@@ -161,7 +152,7 @@ class Proc : public EventQueue::Resumable {
   /// that re-enters the scheduler only at a miss, merge, or quantum expiry
   /// instead of crossing a coroutine frame per reference. The awaitable must
   /// be co_awaited immediately: a Proc has one live run at a time.
-  RunAwaiter run(std::initializer_list<RunOp> ops, std::uint32_t count);
+  OpAwaiter run(std::initializer_list<RunOp> ops, std::uint32_t count);
 
   /// Capacity of a run's per-element op list (sized for the widest workload
   /// stencil — Ocean's restriction); longer lists must be chunked by the app.
@@ -169,11 +160,11 @@ class Proc : public EventQueue::Resumable {
 
   /// As above, for op lists assembled at runtime (e.g. a stencil built in a
   /// loop). `num_ops` must be ≤ kMaxRunOps.
-  RunAwaiter run(const RunOp* ops, unsigned num_ops, std::uint32_t count);
+  OpAwaiter run(const RunOp* ops, unsigned num_ops, std::uint32_t count);
 
   /// Single-stream convenience: `count` strided references, each optionally
   /// followed by `compute_per_ref` busy cycles.
-  RunAwaiter run(Addr base, Addr stride, std::uint32_t count, bool is_write,
+  OpAwaiter run(Addr base, Addr stride, std::uint32_t count, bool is_write,
                  Cycles compute_per_ref = 0);
 
   struct BarrierAwaiter {
@@ -211,8 +202,11 @@ class Proc : public EventQueue::Resumable {
   /// hit table; unsampled runs never pay for its memory.
   void set_sampling(SamplingController* s) {
     sampling_ = s;
-    if (s != nullptr && gen_ != nullptr && warm_filter_.empty()) {
-      warm_filter_.assign(kWarmFilterSlots, FilterEntry{});
+    if (s != nullptr && gen_ != nullptr && warm_table_ == nullptr) {
+      // Default-initialized: the entries' member initializers are the only
+      // pass over the table's memory.
+      warm_table_ = std::make_unique_for_overwrite<HitTable<kWarmSlots>>();
+      warm_table_->line_shift = detail_table_.line_shift;
     }
   }
 
@@ -239,19 +233,48 @@ class Proc : public EventQueue::Resumable {
   SimTask root;
 
  private:
-  bool do_read(Addr a, Cycles& resume_at);
-  bool do_write(Addr a, Cycles& resume_at);
-  bool do_compute(Cycles n, Cycles& resume_at);
+  /// Generation-tagged hit filter table (docs/PERFORMANCE.md): a
+  /// direct-mapped set of lines this processor recently hit, each entry valid
+  /// while its cluster's generation counter (MemorySystem::generation_addr)
+  /// still reads the value recorded with it. The memory system bumps the
+  /// counter only on events that could invalidate a hint in *this* cluster,
+  /// so — unlike a global epoch — entries survive across event-queue slices
+  /// while other clusters run.
+  template <std::size_t Slots>
+  struct HitTable {
+    static_assert(std::has_single_bit(Slots), "slot count: a power of two");
+    struct Entry {
+      Addr line = ~Addr{0};  // never line-aligned: matches no real line
+      std::uint64_t gen = 0;
+      bool writable = false;
+    };
+    unsigned line_shift = 0;
+    std::array<Entry, Slots> entries;
 
-  /// The unsampled access paths (today's full-detail semantics), also used
-  /// verbatim inside a sampled run's detailed intervals.
+    [[nodiscard]] Entry& slot(Addr line) noexcept {
+      return entries[(line >> line_shift) & (Slots - 1)];
+    }
+    /// True if a read (or, with `write`, a store) to `line` is a repeat hit
+    /// the memory system promised to serve as a plain Hit.
+    [[nodiscard]] bool hit(Addr line, std::uint64_t gen, bool write) noexcept {
+      const Entry& e = slot(line);
+      return e.line == line && (!write || e.writable) && e.gen == gen;
+    }
+    /// Records the hint of a memory-system access to `line`.
+    void remember(Addr line, std::uint64_t gen, MruHint hint) noexcept {
+      if (hint != MruHint::None) {
+        slot(line) = Entry{line, gen, hint == MruHint::ReadWrite};
+      }
+    }
+  };
+
+  /// Every read and write: the detailed path (the unsampled semantics, also
+  /// used verbatim inside a sampled run's detailed intervals) or, in a
+  /// sampled run's warming regimes, warm_access.
+  bool access(Addr a, bool write, Cycles& resume_at);
   bool detail_read(Addr a, Cycles& resume_at);
   bool detail_write(Addr a, Cycles& resume_at);
-
-  /// Sampled-run dispatch: detail path + reference accounting, or the
-  /// functional-warming / fast-forward path.
-  bool sampled_read(Addr a, Cycles& resume_at);
-  bool sampled_write(Addr a, Cycles& resume_at);
+  bool do_compute(Cycles n, Cycles& resume_at);
 
   /// Functional warming: memory state (and counters) updated through the
   /// usual protocol, but every reference retires at a flat hit_latency —
@@ -259,8 +282,22 @@ class Proc : public EventQueue::Resumable {
   /// memory call is skipped entirely; the timing is identical by
   /// construction (warming timing never depends on memory state), which is
   /// what makes checkpoint restore exact.
-  bool warm_read(Addr a, Cycles& resume_at);
-  bool warm_write(Addr a, Cycles& resume_at);
+  bool warm_access(Addr a, bool write, Cycles& resume_at);
+
+  /// The one memory access behind every filtered path, followed by
+  /// `repeats` further hits to the same line (batched warming). A repeat
+  /// hit in `table` bypasses the memory system and returns nullopt, a plain
+  /// hit; anything else calls it, records the hint and returns its result.
+  /// `table` is dereferenced only when the filter is on (gen_ != nullptr).
+  template <std::size_t Slots>
+  std::optional<AccessResult> filtered_access(HitTable<Slots>* table, Addr a,
+                                              bool write,
+                                              std::uint64_t repeats);
+  /// Mirrors `n` hits to `line` that bypassed the memory system: its hit
+  /// counters, and (for bounded LRU caches) one most-recently-used
+  /// promotion, so eviction order — and with it every digest — stays
+  /// bit-identical to the slow path.
+  void mirror_hits(Addr line, bool write, std::uint64_t n) noexcept;
 
   /// In-flight run (one per processor).
   struct RunState {
@@ -273,18 +310,18 @@ class Proc : public EventQueue::Resumable {
   };
   /// Retires run ops until the run completes (true) or an op yields to the
   /// event queue (false, resume_at set) — stall, merge, or quantum expiry.
+  /// In a sampled run's warming regimes, whole groups of run iterations
+  /// retire per memory probe (warm_run_batch).
   bool run_step(Cycles& resume_at);
-  /// run_step for sampled runs: in a non-detail regime, whole groups of run
-  /// iterations retire per memory probe (warm_run_batch).
-  bool run_step_sampled(Cycles& resume_at);
   /// One warming/fast-forward batch of the active run: retires `k` whole
-  /// iterations at the flat warming cost, with at most one real memory
-  /// access per memory op (the rest are exactly the repeat hits the filter
-  /// would short-circuit, bumped in bulk). Sets `progressed` false (and
-  /// consumes nothing) when not even one whole iteration fits before the
-  /// next slice / regime / poll point — the caller then retires that
-  /// iteration per reference, so yield points and regime transitions land
-  /// on exactly the same cycle as unbatched warming.
+  /// iterations at the flat warming cost, with one real memory access or
+  /// table probe per memory op and line-sized chunk; the op's other
+  /// references in the chunk are mirrored as repeat hits, in bulk. Sets
+  /// `progressed` false (and consumes nothing) when not even one whole
+  /// iteration fits before the next slice / regime / poll point — the
+  /// caller then retires that iteration per reference, so slice yields land
+  /// on the same cycle as unbatched warming. Results can still differ from
+  /// per-reference warming in the two ways run_step names.
   bool warm_run_batch(Cycles& resume_at, bool& progressed);
   /// True if the slice budget is exhausted; sets resume_at for suspension.
   bool check_slice(Cycles& resume_at) noexcept {
@@ -320,43 +357,22 @@ class Proc : public EventQueue::Resumable {
   WaitInfo wait_{};
   TimeBuckets buckets_{};
 
-  // Generation-tagged hit filter (docs/PERFORMANCE.md): a small direct-mapped
-  // table of lines this processor recently hit, each entry valid while its
-  // cluster's generation counter (MemorySystem::generation_addr) is
-  // unchanged. The memory system bumps the counter only on events that could
-  // invalidate a hint in *this* cluster, so — unlike a global epoch — entries
-  // survive across event-queue slices while other clusters run. Repeat hits
-  // bypass the virtual access call and its protocol branches, charging
-  // access_cost() and bumping reads/hits via hot_; with bounded LRU caches
-  // they also touch the line (touch_cache_) so eviction order — and with it
-  // every digest — stays bit-identical to the slow path. Disabled
-  // (gen_ == nullptr) when the memory system must observe every access.
-  static constexpr std::size_t kFilterSlots = 8;  // covers Ocean's 6 streams
-  struct FilterEntry {
-    Addr line = ~Addr{0};  // never line-aligned: matches no real line
-    std::uint64_t gen = 0;
-    bool writable = false;
-  };
-  [[nodiscard]] std::size_t filter_slot(Addr line) const noexcept {
-    return (line >> line_shift_) & (kFilterSlots - 1);
-  }
+  // Hit filter: repeat hits bypass the virtual access call and its protocol
+  // branches (filtered_access). Disabled (gen_ == nullptr) when the memory
+  // system must observe every access.
   MissCounters* hot_ = nullptr;
   const std::uint64_t* gen_ = nullptr;  // null disables the filter
   CacheStorage* touch_cache_ = nullptr;  // LRU to touch per filtered hit
-  std::array<FilterEntry, kFilterSlots> filter_{};
-  // Functional warming consults an enlarged table instead: warming retires
-  // the whole reference stream, so repeat-pass hits dominate and 8 slots
-  // thrash (measured ~31% of warming references fell through to full
-  // protocol calls). Same entry shape and generation-validity rule, so the
-  // digest-neutrality argument is size-independent; kept separate from
-  // filter_ so the detailed path's footprint and speed are untouched.
-  // Allocated only when sampling is attached (set_sampling).
-  static constexpr std::size_t kWarmFilterSlots = 8192;
-  [[nodiscard]] std::size_t warm_slot(Addr line) const noexcept {
-    return (line >> line_shift_) & (kWarmFilterSlots - 1);
-  }
-  std::vector<FilterEntry> warm_filter_;
-  unsigned line_shift_ = 0;
+  static constexpr std::size_t kDetailSlots = 8;  // covers Ocean's 6 streams
+  HitTable<kDetailSlots> detail_table_;
+  // Functional warming consults the same table type at a larger size:
+  // warming retires the whole reference stream, so repeat-pass hits dominate
+  // and 8 slots thrash (measured ~31% of warming references fell through to
+  // full protocol calls). Kept separate from detail_table_ so the detailed
+  // path's footprint and speed are untouched. Allocated only when sampling
+  // is attached and the filter is on (set_sampling).
+  static constexpr std::size_t kWarmSlots = 8192;
+  std::unique_ptr<HitTable<kWarmSlots>> warm_table_;
 
   RunState run_{};
 

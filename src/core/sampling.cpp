@@ -90,12 +90,7 @@ void SamplingController::leave_detail() {
   detailed_refs_ += refs_ - detail_enter_refs_;
   for (std::size_t p = 0; p < buckets_.size(); ++p) {
     TimeBuckets d = *buckets_[p];
-    const TimeBuckets& s = detail_snapshot_[p];
-    d.cpu -= s.cpu;
-    d.load -= s.load;
-    d.merge -= s.merge;
-    d.sync -= s.sync;
-    d.contention -= s.contention;
+    d -= detail_snapshot_[p];
     detail_buckets_[p] += d;
   }
 }

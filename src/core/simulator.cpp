@@ -176,11 +176,7 @@ void apply_sampling_extrapolation(SimResult& res,
     for (std::size_t p = 0; p < res.per_proc.size(); ++p) {
       const TimeBuckets& d = acc.detail_buckets[p];
       TimeBuckets b;
-      b.cpu = scale_up(d.cpu);
-      b.load = scale_up(d.load);
-      b.merge = scale_up(d.merge);
-      b.sync = scale_up(d.sync);
-      b.contention = scale_up(d.contention);
+      for (const auto field : kTimeBucketFields) b.*field = scale_up(d.*field);
       res.per_proc[p] = b;
       est_wall = std::max(est_wall, b.total());
     }

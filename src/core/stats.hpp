@@ -22,19 +22,35 @@ struct TimeBuckets {
   Cycles contention = 0;  ///< queueing-delay stalls (bank / directory / NIC
                           ///< waits; always 0 unless ContentionSpec::enabled)
 
-  [[nodiscard]] Cycles total() const noexcept {
-    return cpu + load + merge + sync + contention;
-  }
+  [[nodiscard]] Cycles total() const noexcept;
   bool operator==(const TimeBuckets&) const noexcept = default;
-  TimeBuckets& operator+=(const TimeBuckets& o) noexcept {
-    cpu += o.cpu;
-    load += o.load;
-    merge += o.merge;
-    sync += o.sync;
-    contention += o.contention;
-    return *this;
-  }
+  TimeBuckets& operator+=(const TimeBuckets& o) noexcept;
+  TimeBuckets& operator-=(const TimeBuckets& o) noexcept;
 };
+
+/// Every TimeBuckets field, in the one order that total(), +=, -=, sampling
+/// extrapolation, the result digest (src/obs/manifest.hpp) and the journal
+/// codec walk. The order is part of every result digest and of the on-disk
+/// record layout.
+inline constexpr Cycles TimeBuckets::*kTimeBucketFields[] = {
+    &TimeBuckets::cpu, &TimeBuckets::load, &TimeBuckets::merge,
+    &TimeBuckets::sync, &TimeBuckets::contention};
+static_assert(sizeof(TimeBuckets) == 8 * std::size(kTimeBucketFields),
+              "a TimeBuckets field is missing from kTimeBucketFields");
+
+inline Cycles TimeBuckets::total() const noexcept {
+  Cycles t = 0;
+  for (const auto field : kTimeBucketFields) t += this->*field;
+  return t;
+}
+inline TimeBuckets& TimeBuckets::operator+=(const TimeBuckets& o) noexcept {
+  for (const auto field : kTimeBucketFields) this->*field += o.*field;
+  return *this;
+}
+inline TimeBuckets& TimeBuckets::operator-=(const TimeBuckets& o) noexcept {
+  for (const auto field : kTimeBucketFields) this->*field -= o.*field;
+  return *this;
+}
 
 /// Reference / miss counters, aggregated machine-wide (the paper reports
 /// machine-level behaviour; per-cluster splits are available via

@@ -18,11 +18,7 @@ void hash_counters(Fnv1a& f, const MissCounters& c) {
 }
 
 void hash_buckets(Fnv1a& f, const TimeBuckets& b) {
-  f.u64(b.cpu);
-  f.u64(b.load);
-  f.u64(b.merge);
-  f.u64(b.sync);
-  f.u64(b.contention);
+  for (const auto field : kTimeBucketFields) f.u64(b.*field);
 }
 
 const char* style_name(ClusterStyle s) {

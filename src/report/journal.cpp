@@ -26,23 +26,15 @@ constexpr RecordFormat kFormat{.name = "journal",
                                .max_payload = 64u << 20,
                                .extension = ".csj"};
 
-constexpr std::size_t kBucketsRecordBytes = 5 * 8;
+constexpr std::size_t kBucketsRecordBytes = 8 * std::size(kTimeBucketFields);
 
 void put_buckets(RecordWriter& w, const TimeBuckets& b) {
-  w.u64(b.cpu);
-  w.u64(b.load);
-  w.u64(b.merge);
-  w.u64(b.sync);
-  w.u64(b.contention);
+  for (const auto field : kTimeBucketFields) w.u64(b.*field);
 }
 
 TimeBuckets get_buckets(RecordReader& r) {
   TimeBuckets b;
-  b.cpu = r.u64();
-  b.load = r.u64();
-  b.merge = r.u64();
-  b.sync = r.u64();
-  b.contention = r.u64();
+  for (const auto field : kTimeBucketFields) b.*field = r.u64();
   return b;
 }
 
