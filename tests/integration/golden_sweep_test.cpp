@@ -1,7 +1,8 @@
 // Golden determinism: with the contention model disabled, every SimResult in
 // the reference frame (all apps at test scale, both organizations, three
-// cluster sizes at 16 KB plus the infinite-cache column) must stay
-// bit-identical to the committed digests in golden_digests.txt.
+// cluster sizes at 16 KB, the infinite-cache column, and a small-cache 1 KB
+// column at 4 and 8 processors per cluster) must stay bit-identical to the
+// committed digests in golden_digests.txt.
 //
 // The digests are obs::result_digest over every counter, bucket, and
 // per-cluster/per-processor breakdown, so any behavioral drift — however
@@ -53,7 +54,7 @@ MachineSpec frame_config(ClusterStyle style, unsigned ppc, std::size_t cache) {
 
 TEST(GoldenSweep, ContentionDisabledResultsMatchCommittedDigests) {
   const auto golden = load_fixture();
-  ASSERT_EQ(golden.size(), 63u) << "fixture frame changed unexpectedly";
+  ASSERT_EQ(golden.size(), 99u) << "fixture frame changed unexpectedly";
 
   unsigned checked = 0;
   for (const std::string& name : app_names()) {
@@ -73,6 +74,12 @@ TEST(GoldenSweep, ContentionDisabledResultsMatchCommittedDigests) {
       keys.push_back({"shared_memory", ClusterStyle::SharedMemory, ppc, 16384});
     }
     keys.push_back({"shared_cache", ClusterStyle::SharedCache, 4, 0});
+    // Small caches under clustering: heavy LRU replacement and read merging
+    // in the same cache, which the 16 KB and infinite columns barely reach.
+    for (unsigned ppc : {4u, 8u}) {
+      keys.push_back({"shared_cache", ClusterStyle::SharedCache, ppc, 1024});
+      keys.push_back({"shared_memory", ClusterStyle::SharedMemory, ppc, 1024});
+    }
     for (const Key& k : keys) {
       req.configs.push_back(frame_config(k.style, k.ppc, k.cache));
     }

@@ -1,7 +1,8 @@
 // Warm-state checkpoints (src/mem/warm_state.hpp): codec round trip, the
 // hardened loader's behaviour under every corruption shape the frame can
-// take, and the end-to-end acceptance invariant -- a run that restores from
-// a checkpoint is digest-identical to one that warms in process, for both
+// take, the memory systems' refusal of a state that does not fit them, and
+// the end-to-end acceptance invariant -- a run that restores from a
+// checkpoint is digest-identical to one that warms in process, for both
 // cluster organizations, and a damaged checkpoint degrades into a fresh
 // warmup with the same answer.
 #include <gtest/gtest.h>
@@ -19,6 +20,9 @@
 #include "src/core/machine.hpp"
 #include "src/core/record_file.hpp"
 #include "src/core/simulator.hpp"
+#include "src/mem/address_space.hpp"
+#include "src/mem/clustered_memory.hpp"
+#include "src/mem/coherence.hpp"
 #include "src/mem/warm_state.hpp"
 #include "src/obs/manifest.hpp"
 
@@ -168,6 +172,11 @@ TEST(WarmStateFiles, SaveLoadRoundTripsAndDigestKeyIsEnforced) {
             std::string::npos);
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
 MachineSpec sampled_spec(ClusterStyle style, const std::string& ckpt_dir) {
   MachineSpecBuilder b;
   b.procs(16).procs_per_cluster(4).style(style).cache_kb(4).sample(4096, 4096,
@@ -179,6 +188,75 @@ MachineSpec sampled_spec(ClusterStyle style, const std::string& ckpt_dir) {
 SimResult run(const std::string& app, const MachineSpec& cfg) {
   const std::unique_ptr<Program> prog = make_app(app, ProblemScale::Test);
   return simulate(*prog, cfg);
+}
+
+// restore_warm_state's fit checks. A checkpoint file is outside input, so a
+// state that does not fit the memory system must be refused, never
+// installed. Each rig builds one organization directly, 8 processors with
+// 1 KB caches.
+template <class Mem>
+class WarmRig {
+ public:
+  explicit WarmRig(unsigned ppc) : base_(as_.alloc(4 * 4096, "mem")) {
+    MachineSpec cfg;
+    cfg.num_procs = 8;
+    cfg.procs_per_cluster = ppc;
+    cfg.cache.per_proc_bytes = 1024;
+    mem_ = std::make_unique<Mem>(std::make_shared<const MachineSpec>(cfg), as_);
+  }
+
+  /// Reads and writes from every processor, then captures the state.
+  WarmState capture() {
+    for (ProcId p = 0; p < 8; ++p) {
+      (void)mem_->read(p, base_ + p * 64, 0);
+      (void)mem_->write(p, base_ + 4096 + p * 128, 0);
+    }
+    WarmState ws;
+    EXPECT_TRUE(mem_->capture_warm_state(ws));
+    return ws;
+  }
+
+  bool restore(const WarmState& ws) { return mem_->restore_warm_state(ws); }
+
+ private:
+  AddressSpace as_;
+  Addr base_;
+  std::unique_ptr<Mem> mem_;
+};
+
+using SharedCacheRig = WarmRig<CoherenceController>;
+using SharedMemoryRig = WarmRig<ClusteredMemorySystem>;
+
+TEST(WarmStateRestoreChecks, AcceptsACaptureOfTheSameMachine) {
+  EXPECT_TRUE(SharedCacheRig(4).restore(SharedCacheRig(4).capture()));
+  EXPECT_TRUE(SharedMemoryRig(4).restore(SharedMemoryRig(4).capture()));
+}
+
+TEST(WarmStateRestoreChecks, RejectsACaptureFromTheOtherOrganization) {
+  EXPECT_FALSE(SharedCacheRig(4).restore(SharedMemoryRig(4).capture()));
+  EXPECT_FALSE(SharedMemoryRig(4).restore(SharedCacheRig(4).capture()));
+  // The organization tag alone is enough.
+  WarmState ws = SharedCacheRig(4).capture();
+  ws.cluster_style = static_cast<std::uint8_t>(ClusterStyle::SharedMemory);
+  EXPECT_FALSE(SharedCacheRig(4).restore(ws));
+}
+
+TEST(WarmStateRestoreChecks, RejectsACaptureFromAnotherClusterSize) {
+  EXPECT_FALSE(SharedCacheRig(2).restore(SharedCacheRig(4).capture()));
+  EXPECT_FALSE(SharedMemoryRig(2).restore(SharedMemoryRig(4).capture()));
+}
+
+TEST(WarmStateRestoreChecks, RejectsASharedCacheStateWithAnAttractionVector) {
+  WarmState ws = SharedCacheRig(4).capture();
+  ws.attraction.emplace_back();
+  EXPECT_FALSE(SharedCacheRig(4).restore(ws));
+}
+
+TEST(WarmStateRestoreChecks, RejectsAnAttractionCountOtherThanTheClusters) {
+  WarmState ws = SharedMemoryRig(4).capture();
+  ASSERT_EQ(ws.attraction.size(), 2u);
+  ws.attraction.pop_back();
+  EXPECT_FALSE(SharedMemoryRig(4).restore(ws));
 }
 
 TEST(WarmStateRestore, FastForwardIsDigestIdenticalToInProcessWarmup) {
@@ -198,6 +276,12 @@ TEST(WarmStateRestore, FastForwardIsDigestIdenticalToInProcessWarmup) {
     const std::uint64_t digest =
         obs::warm_config_digest(cfg, "fft", ProblemScale::Test);
     ASSERT_TRUE(fs::exists(warm_state_path(tmp.path(), digest)));
+    // The file's bytes are pinned too, not just the answer they restore to.
+    const std::string bytes = read_file(warm_state_path(tmp.path(), digest));
+    const bool sc = style == ClusterStyle::SharedCache;
+    EXPECT_EQ(bytes.size(), sc ? 18530u : 29666u);
+    EXPECT_EQ(fnv1a(bytes),
+              sc ? 0x7610833b4438c774ULL : 0x937993853150741dULL);
 
     // ...the second fast-forwards from it. All three must agree bit for bit.
     const SimResult reader = run("fft", cfg);
@@ -222,12 +306,7 @@ TEST(WarmStateRestore, CorruptCheckpointFallsBackToFreshWarmupAndRewrites) {
 
   // Truncate the checkpoint mid-record (the damage a crash during a
   // non-atomic copy would leave).
-  std::string bytes;
-  {
-    std::ifstream is(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(is),
-                 std::istreambuf_iterator<char>());
-  }
+  const std::string bytes = read_file(path);
   {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
