@@ -2,8 +2,12 @@
 // paper's methodology depends on, checked over every application.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "src/analysis/working_set.hpp"
 #include "src/apps/app.hpp"
 #include "src/report/experiment.hpp"
+#include "src/trace/trace.hpp"
 
 namespace csim {
 namespace {
@@ -86,6 +90,31 @@ TEST_P(PerApp, SingleClusterInfiniteCacheMissesAllCold) {
   const SimResult r = simulate(*a, mc(16, 16, 0));
   EXPECT_EQ(r.totals.total_misses(), r.totals.cold_misses);
   EXPECT_EQ(r.totals.invalidations, 0u);
+}
+
+TEST_P(PerApp, SingleClusterMissesMatchLruStackDistance) {
+  // One cluster holding every processor has no coherence traffic, so its
+  // fully associative LRU cache must miss on exactly the references that are
+  // cold or have an LRU stack distance of at least its line count (Mattson
+  // et al.), counted over the same reference stream. Every reference counts,
+  // merged reads included: they touch the line (docs/PROTOCOL.md).
+  for (const std::size_t kb : {1u, 4u}) {
+    const MachineSpec cfg = mc(8, 8, kb * 1024);
+    auto a = make_app(GetParam(), ProblemScale::Test);
+    const SimResult r = simulate(*a, cfg);
+    auto b = make_app(GetParam(), ProblemScale::Test);
+    const Trace trace = record_trace(*b, cfg);
+
+    StackDistance stack;
+    std::uint64_t lru_misses = 0;
+    for (const TraceRecord& t : trace.records()) {
+      const std::size_t d =
+          stack.touch(t.addr & ~Addr{cfg.cache.line_bytes - 1});
+      if (d == SIZE_MAX || d >= cfg.cluster_cache_lines()) ++lru_misses;
+    }
+    EXPECT_EQ(r.totals.read_misses + r.totals.write_misses, lru_misses)
+        << kb << " KB";
+  }
 }
 
 TEST_P(PerApp, ClusteringNeverIncreasesInfiniteCacheMisses) {
