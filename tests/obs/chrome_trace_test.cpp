@@ -1,7 +1,8 @@
 // TimelineTracer tests: a traced run produces a structurally valid Chrome
 // trace-event JSON document (the ISSUE's schema check), with per-processor
 // tracks, balanced async miss spans, and events inside the simulated
-// timeline.
+// timeline. Also checks the address the memory systems report on a store
+// stall.
 #include "src/obs/chrome_trace.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/apps/app.hpp"
 #include "src/core/simulator.hpp"
@@ -137,6 +139,55 @@ TEST(TimelineTracer, InvalidationsLandOnMemorySystemTrack) {
     }
   }
   EXPECT_TRUE(found) << "invalidation rounds must appear in the trace";
+}
+
+/// Processor 0 writes one word, 8 bytes into a line; nothing else runs.
+class OneUnalignedWrite final : public Program {
+ public:
+  [[nodiscard]] std::string name() const override { return "one-write"; }
+  void setup(AddressSpace& as, const MachineSpec&) override {
+    base_ = as.alloc(4096, "word");
+  }
+  SimTask body(Proc& p) override {
+    if (p.id() == 0) co_await p.write(target());
+  }
+  [[nodiscard]] Addr target() const { return base_ + 8; }
+
+ private:
+  Addr base_ = 0;
+};
+
+/// Records every memory-stall hook.
+class StallRecorder final : public Observer {
+ public:
+  struct Event {
+    ProcId proc;
+    Addr addr;
+    Stall kind;
+  };
+  void on_memory_stall(ProcId p, Addr a, Stall kind, Cycles, Cycles,
+                       LatencyClass) override {
+    events.push_back({p, a, kind});
+  }
+  std::vector<Event> events;
+};
+
+TEST(ObserverHooks, StoreStallCarriesTheByteAddressInBothOrganizations) {
+  for (const ClusterStyle style :
+       {ClusterStyle::SharedCache, ClusterStyle::SharedMemory}) {
+    SCOPED_TRACE(style == ClusterStyle::SharedCache ? "sc" : "sm");
+    OneUnalignedWrite prog;
+    StallRecorder rec;
+    const SimResult r = simulate(
+        prog,
+        MachineSpecBuilder{}.procs(4).procs_per_cluster(2).style(style).build(),
+        &rec);
+    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_EQ(rec.events.size(), 1u);
+    EXPECT_EQ(rec.events[0].proc, 0u);
+    EXPECT_EQ(rec.events[0].kind, Observer::Stall::Store);
+    EXPECT_EQ(rec.events[0].addr, prog.target());
+  }
 }
 
 TEST(TimelineTracer, WriteJsonFileRejectsBadPath) {
