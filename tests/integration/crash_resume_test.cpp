@@ -200,6 +200,40 @@ TEST(CrashResume, SecondResumeSimulatesNothing) {
   EXPECT_EQ(csv_of(second), first_csv);
 }
 
+// The sweep CSV's bytes, not just its columns: csim_cli --csv, the shard-merge
+// artifacts and the service's csv_out all write this schema, so a change to
+// the writer must fail here. Every row retries once, so every row ends
+// `,ok,2`.
+TEST(SweepReporting, CsvBytesArePinned) {
+  FaultPlan plan;
+  FaultSpec f;
+  f.error = SimErrorKind::Transient;
+  f.fail_attempts = 1;
+  plan.add_wildcard(f);
+  SweepRequest req;
+  req.make_app = [] { return make_app("fft", ProblemScale::Test); };
+  for (unsigned ppc : {1u, 2u, 4u}) {
+    req.configs.push_back(
+        MachineSpecBuilder{}.procs(16).procs_per_cluster(ppc).cache_kb(4).build());
+  }
+  req.policy.faults = &plan;
+  req.policy.max_retries = 1;
+  req.policy.backoff_ms = 0;
+  const SweepResult sweep = run_sweep(req);
+  ASSERT_TRUE(sweep.all_ok());
+  EXPECT_EQ(strip_host_columns(csv_of(sweep)),
+            "app,scale,procs,ppc,cache_kb,wall,cpu,load,merge,sync,contention,"
+            "reads,writes,read_misses,write_misses,upgrades,merges,cold,"
+            "invalidations,bank_conflicts,bank_wait,dir_wait,nic_wait,"
+            "sampled,coverage,status,attempts\n"
+            "fft,test,16,1,4,20108,150528,161760,0,9440,0,15872,15872,1472,480,"
+            "288,0,512,960,0,0,0,0,0,0.000000,ok,2\n"
+            "fft,test,16,2,4,19151,150528,77760,74456,3672,0,15872,15872,704,"
+            "480,256,672,512,448,0,0,0,0,0,0.000000,ok,2\n"
+            "fft,test,16,4,4,16739,150528,59520,57384,392,0,15872,15872,640,"
+            "448,256,608,512,384,0,0,0,0,0,0.000000,ok,2\n");
+}
+
 TEST(CrashResume, StaleJournalForOtherAppIsIgnored) {
   const TempDir tmp("staleapp");
   const std::vector<MachineSpec> configs = sweep_configs();
