@@ -138,43 +138,31 @@ std::string encode_frame(const RecordFormat& fmt, std::string_view payload) {
   return std::move(w.out);
 }
 
-Frame decode_frame(const RecordFormat& fmt, std::string_view bytes,
-                   FrameFit fit) {
+Frame decode_frame(const RecordFormat& fmt, std::string_view bytes) {
   Frame f;
-  const auto fail = [&](Frame::Status s, std::string error) {
-    f.status = s;
+  const auto fail = [&](std::string error) {
     f.error = std::move(error);
     return f;
   };
-  if (bytes.size() < kFrameHeaderBytes) {
-    return fail(Frame::Status::TruncatedHeader, "truncated frame header");
-  }
+  if (bytes.size() < kFrameHeaderBytes) return fail("truncated frame header");
   RecordReader hdr(bytes.substr(0, kFrameHeaderBytes));
-  if (hdr.bytes(fmt.magic.size()) != fmt.magic) {
-    return fail(Frame::Status::BadMagic, "bad magic");
-  }
+  if (hdr.bytes(fmt.magic.size()) != fmt.magic) return fail("bad magic");
   f.version = hdr.u8();
   const std::uint64_t payload_len = hdr.u64();
   const std::uint64_t payload_fnv = hdr.u64();
   if (f.version < fmt.min_version || f.version > fmt.version) {
-    return fail(Frame::Status::BadVersion,
-                "unsupported version " + std::to_string(f.version));
+    return fail("unsupported version " + std::to_string(f.version));
   }
   const std::size_t available = bytes.size() - kFrameHeaderBytes;
-  if (payload_len > fmt.max_payload ||
-      (fit == FrameFit::Exact ? payload_len != available
-                              : payload_len > available)) {
-    return fail(Frame::Status::BadLength,
-                "truncated record: declares " + std::to_string(payload_len) +
-                    " payload bytes, " + std::to_string(available) +
-                    " available");
+  const std::string lengths = "declares " + std::to_string(payload_len) +
+                              " payload bytes, " + std::to_string(available) +
+                              " available";
+  if (payload_len > fmt.max_payload || payload_len > available) {
+    return fail("truncated record: " + lengths);
   }
-  f.size = kFrameHeaderBytes + payload_len;
-  const std::string_view payload =
-      bytes.substr(kFrameHeaderBytes, payload_len);
-  if (fnv1a(payload) != payload_fnv) {
-    return fail(Frame::Status::BadChecksum, "checksum mismatch");
-  }
+  if (payload_len < available) return fail("bytes after the record: " + lengths);
+  const std::string_view payload = bytes.substr(kFrameHeaderBytes);
+  if (fnv1a(payload) != payload_fnv) return fail("checksum mismatch");
   f.payload = payload;
   return f;
 }

@@ -127,33 +127,19 @@ struct RecordFormat {
 
 /// One decoded frame, or why the bytes do not hold one.
 struct Frame {
-  enum class Status : std::uint8_t {
-    Ok,
-    TruncatedHeader,
-    BadMagic,
-    BadVersion,  ///< outside [min_version, version]
-    BadLength,   ///< above max_payload or not matching the bytes available
-    BadChecksum,
-  };
-  Status status = Status::Ok;
   std::uint8_t version = 0;
-  std::string_view payload;  ///< Ok only; a view into the decoded bytes
-  std::size_t size = 0;      ///< header + payload bytes; Ok and BadChecksum
-  std::string error;         ///< e.g. "checksum mismatch"; empty when Ok
+  std::string_view payload;  ///< ok() only; a view into the decoded bytes
+  std::string error;         ///< e.g. "checksum mismatch"; empty when ok()
 
-  [[nodiscard]] bool ok() const noexcept { return status == Status::Ok; }
+  [[nodiscard]] bool ok() const noexcept { return error.empty(); }
 };
 
-/// Whether a frame may be followed by more bytes (a file of concatenated
-/// records) or must fill the buffer exactly (a file holding one record).
-enum class FrameFit : std::uint8_t { Prefix, Exact };
-
-/// Hardened decode of the frame at the front of `bytes`: checks the header
-/// length, the magic, the version range, the declared length against the
-/// format's cap and the bytes available, and the payload checksum, in that
-/// order. Never throws on bad data.
+/// Hardened decode of a buffer holding exactly one frame (a record file):
+/// checks the header length, the magic, the version range, the declared
+/// length against the format's cap and the bytes available, and the payload
+/// checksum, in that order. Never throws on bad data.
 [[nodiscard]] Frame decode_frame(const RecordFormat& fmt,
-                                 std::string_view bytes, FrameFit fit);
+                                 std::string_view bytes);
 
 // --- Files -------------------------------------------------------------------
 

@@ -238,7 +238,7 @@ WarmLoad decode_warm_state(std::string_view bytes,
     out.warnings.push_back("warm-state: " + origin + ": " + what +
                            " (checkpoint ignored)");
   };
-  const Frame frame = decode_frame(kFormat, bytes, FrameFit::Exact);
+  const Frame frame = decode_frame(kFormat, bytes);
   if (!frame.ok()) {
     warn(frame.error);
     return out;

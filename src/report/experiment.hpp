@@ -39,8 +39,8 @@ struct SweepPolicy {
   /// sweep moves on, so a killed sweep loses at most the rows in flight.
   /// Empty = journaling disabled (zero overhead).
   std::string journal_dir;
-  /// With a journal_dir: load existing records first, verify their digests,
-  /// and skip re-simulating any row whose record checks out.
+  /// With a journal_dir: read each row's record by its digest first, verify
+  /// it, and skip re-simulating any row whose record checks out.
   bool resume = false;
   /// Per-row host wall-clock budget in seconds; rows that exceed it come
   /// back as error_kind == "timeout" rows. 0 = unlimited. Host time cannot
@@ -56,13 +56,6 @@ struct SweepPolicy {
   /// Deterministic fault injection (tests and the --fault-plan flag); the
   /// plan must outlive the sweep. Null = no faults.
   const FaultPlan* faults = nullptr;
-  /// Warm-state checkpoint directory for interval-sampled rows
-  /// (src/mem/warm_state.hpp). When set, every sampled row whose spec has no
-  /// checkpoint_dir of its own gets this one, and the sweep schedules rows in
-  /// two waves grouped by warm_config_digest: the first row of each group
-  /// warms in-process and writes the checkpoint, the rest fast-forward from
-  /// it. Empty = no checkpointing (rows still sample if their specs say so).
-  std::string checkpoint_dir;
 };
 
 struct RowOutcome;
@@ -164,13 +157,10 @@ struct BenchOptions {
   static BenchOptions parse_checked(int argc, char** argv);
 };
 
-/// One CSV line per successful result: app,scale,procs,ppc,cacheKB,wall,cpu,
-/// load,merge,sync,reads,writes,read_misses,write_misses,upgrades,merges,
-/// cold,inv. Failed results are skipped (see write_failures).
-void write_csv(std::ostream& os, const std::vector<SimResult>& results);
-
-/// Sweep-aware CSV: the same columns plus trailing `status,attempts` from
-/// the row outcomes. Journal provenance (from_journal) is deliberately
+/// The sweep CSV: a header, then one line per ok row (failed rows are
+/// skipped; see write_failures) with the app, machine, time buckets, miss
+/// counters, sampling provenance, host throughput and the row's
+/// `status,attempts`. Journal provenance (from_journal) is deliberately
 /// excluded so a resumed sweep's CSV is byte-identical to an uninterrupted
 /// run's (the crash-safety acceptance invariant).
 void write_csv(std::ostream& os, const SweepResult& sweep);

@@ -1,11 +1,7 @@
 #include "src/report/journal.hpp"
 
-#include <algorithm>
-#include <filesystem>
 #include <optional>
 #include <stdexcept>
-#include <system_error>
-#include <unordered_set>
 #include <utility>
 
 #include "src/core/record_file.hpp"
@@ -113,52 +109,18 @@ std::string encode_journal_record(const JournalRecord& rec) {
   return encode_frame(kFormat, encode_payload(rec));
 }
 
-JournalLoad decode_journal_records(std::string_view bytes,
-                                   const std::string& origin) {
-  JournalLoad out;
-  const auto warn = [&](const std::string& what) {
-    out.warnings.push_back("journal: " + origin + ": " + what);
-  };
-  std::size_t pos = 0;
-  while (pos < bytes.size()) {
-    const Frame frame =
-        decode_frame(kFormat, bytes.substr(pos), FrameFit::Prefix);
-    if (frame.status == Frame::Status::BadMagic ||
-        frame.status == Frame::Status::BadVersion) {
-      // Lost framing: without a trusted header there is no reliable way to
-      // resync, so drop the rest of the file rather than misparse garbage.
-      warn(frame.error + " (rest of file skipped)");
-      return out;
-    }
-    if (frame.status == Frame::Status::TruncatedHeader ||
-        frame.status == Frame::Status::BadLength) {
-      warn(frame.error + " (record skipped)");
-      return out;
-    }
-    pos += frame.size;
-    if (!frame.ok()) {
-      warn(frame.error + " (record skipped)");
-      continue;  // frame length was intact, so the next record may be fine
-    }
-    JournalRecord rec;
-    std::string why;
-    if (!decode_payload(frame.payload, frame.version, rec, why)) {
-      warn(why + " (record skipped)");
-      continue;
-    }
-    const bool dup =
-        std::any_of(out.records.begin(), out.records.end(),
-                    [&](const JournalRecord& r) {
-                      return r.config_digest == rec.config_digest;
-                    });
-    if (dup) {
-      warn("duplicate record for config " + digest_hex(rec.config_digest) +
-           " (first record wins)");
-      continue;
-    }
-    out.records.push_back(std::move(rec));
+std::optional<JournalRecord> decode_journal_record(std::string_view bytes,
+                                                  std::string& why) {
+  const Frame frame = decode_frame(kFormat, bytes);
+  if (!frame.ok()) {
+    why = frame.error;
+    return std::nullopt;
   }
-  return out;
+  JournalRecord rec;
+  if (!decode_payload(frame.payload, frame.version, rec, why)) {
+    return std::nullopt;
+  }
+  return rec;
 }
 
 std::string journal_record_path(const std::string& dir,
@@ -169,49 +131,6 @@ std::string journal_record_path(const std::string& dir,
 void append_journal_record(const std::string& dir, const JournalRecord& rec) {
   write_record_file(kFormat, dir, rec.config_digest,
                     encode_journal_record(rec));
-}
-
-JournalLoad load_journal(const std::string& dir) {
-  JournalLoad out;
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir, ec);
-  if (ec) return out;  // missing directory = empty journal
-  std::vector<std::string> paths;
-  for (const auto& entry : it) {
-    if (entry.path().extension() == kFormat.extension) {
-      paths.push_back(entry.path().string());
-    }
-  }
-  std::sort(paths.begin(), paths.end());  // directory order is unspecified
-  std::unordered_set<std::uint64_t> seen;
-  for (const std::string& path : paths) {
-    const std::optional<std::string> bytes = read_file(path);
-    if (!bytes) {
-      out.warnings.push_back("journal: " + path + ": cannot open (skipped)");
-      continue;
-    }
-    if (bytes->empty()) {
-      // A crash between creating the file and its first write leaves a
-      // zero-length record: same treatment as a truncated frame — warn and
-      // re-simulate, never error the whole resume.
-      out.warnings.push_back("journal: " + path +
-                             ": empty record file (record skipped)");
-      continue;
-    }
-    JournalLoad one = decode_journal_records(*bytes, path);
-    for (std::string& w : one.warnings) out.warnings.push_back(std::move(w));
-    for (JournalRecord& rec : one.records) {
-      if (!seen.insert(rec.config_digest).second) {
-        out.warnings.push_back("journal: " + path +
-                               ": duplicate record for config " +
-                               digest_hex(rec.config_digest) +
-                               " (first record wins)");
-        continue;
-      }
-      out.records.push_back(std::move(rec));
-    }
-  }
-  return out;
 }
 
 JournalRecord journal_record_from_result(const SimResult& r,
@@ -265,6 +184,39 @@ std::optional<SimResult> verified_journal_result(const JournalRecord& rec,
     return std::nullopt;
   }
   return r;
+}
+
+std::optional<JournalHit> read_journal_row(const std::string& dir,
+                                          std::uint64_t digest,
+                                          const MachineSpec& cfg,
+                                          std::string_view app,
+                                          ProblemScale scale,
+                                          std::vector<std::string>& warnings) {
+  const std::string path = journal_record_path(dir, digest);
+  const std::optional<std::string> bytes = read_file(path);
+  if (!bytes) return std::nullopt;  // never journaled here
+  const auto skip = [&](const std::string& why) -> std::optional<JournalHit> {
+    warnings.push_back("journal: " + path + ": " + why + " (record skipped)");
+    return std::nullopt;
+  };
+  // A crash between creating the file and its first write leaves a
+  // zero-length record: warn and re-simulate like any damaged record.
+  if (bytes->empty()) return skip("empty record file");
+  std::string why;
+  const std::optional<JournalRecord> rec = decode_journal_record(*bytes, why);
+  if (!rec) return skip(why);
+  if (rec->config_digest != digest) {
+    return skip("record digest " + digest_hex(rec->config_digest) +
+                " does not match its file name");
+  }
+  std::optional<SimResult> r =
+      verified_journal_result(*rec, cfg, app, scale, why);
+  if (!r) {
+    warnings.push_back("journal: record " + digest_hex(digest) + " " + why +
+                       "; re-simulating");
+    return std::nullopt;
+  }
+  return JournalHit{std::move(*r), rec->attempts};
 }
 
 }  // namespace csim

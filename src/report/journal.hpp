@@ -7,11 +7,12 @@
 // crash mid-append leaves either the previous record or none — never a
 // half-written file at the final name.
 //
-// The loader treats every *.csj file as a (possibly concatenated) record
-// sequence and survives anything a crash or fault injector can produce:
-// truncated frames, checksum mismatches, garbage magic, duplicate digests.
-// Bad records are skipped with a warning and the sweep simply re-simulates
-// those rows — the journal is a cache, never a source of wrong answers.
+// A row's record is read by its digest, one file probe, and the reader
+// survives anything a crash or fault injector can produce: truncated
+// frames, checksum mismatches, garbage magic, a record under another row's
+// name. Bad records are skipped with a warning and the sweep simply
+// re-simulates those rows — the journal is a cache, never a source of wrong
+// answers.
 #pragma once
 
 #include <cstdint>
@@ -47,23 +48,15 @@ struct JournalRecord {
   std::vector<MissCounters> per_cluster;
 };
 
-/// Outcome of decoding a journal: the surviving records (first valid record
-/// wins per config digest) and one warning per skipped/rejected record.
-struct JournalLoad {
-  std::vector<JournalRecord> records;
-  std::vector<std::string> warnings;
-};
-
 /// Serializes `rec` into its on-disk frame (header + checksummed payload).
 /// Exposed so the fault injector can emulate torn writes by persisting a
 /// prefix of the real bytes.
 [[nodiscard]] std::string encode_journal_record(const JournalRecord& rec);
 
-/// Decodes a byte buffer holding zero or more concatenated record frames.
-/// `origin` names the source (file path) in warnings. Never throws on bad
-/// data — corruption becomes warnings, not errors.
-[[nodiscard]] JournalLoad decode_journal_records(std::string_view bytes,
-                                                 const std::string& origin);
+/// Decodes a buffer holding exactly one record frame. Returns nullopt, with
+/// `why` naming the damage, on anything else. Never throws on bad data.
+[[nodiscard]] std::optional<JournalRecord> decode_journal_record(
+    std::string_view bytes, std::string& why);
 
 /// `<dir>/<16-hex config_digest>.csj`: where a row's record lives.
 [[nodiscard]] std::string journal_record_path(const std::string& dir,
@@ -72,11 +65,6 @@ struct JournalLoad {
 /// Atomically writes `rec` to journal_record_path(dir, rec.config_digest),
 /// creating `dir` if needed. Throws std::runtime_error on I/O failure.
 void append_journal_record(const std::string& dir, const JournalRecord& rec);
-
-/// Loads every `*.csj` record under `dir` (duplicates deduplicated across
-/// files, first valid wins). A missing directory is an empty journal, not an
-/// error — resuming into a fresh directory must work.
-[[nodiscard]] JournalLoad load_journal(const std::string& dir);
 
 /// Builds the journal record for a completed row. Precondition: r.ok.
 [[nodiscard]] JournalRecord journal_record_from_result(const SimResult& r,
@@ -91,5 +79,22 @@ void append_journal_record(const std::string& dir, const JournalRecord& rec);
 [[nodiscard]] std::optional<SimResult> verified_journal_result(
     const JournalRecord& rec, const MachineSpec& cfg, std::string_view app,
     ProblemScale scale, std::string& why);
+
+/// A row served from the journal, with the attempt count recorded when it
+/// originally ran.
+struct JournalHit {
+  SimResult result;
+  std::uint32_t attempts = 1;
+};
+
+/// Reads the record of the row `digest` names (journal_record_path(dir,
+/// digest)) for the live spec `cfg` of `app` at `scale`. A missing file or
+/// directory is a plain miss. An empty file, a damaged frame or payload, a
+/// record under another digest's name, or one that fails
+/// verified_journal_result is a miss with one line appended to `warnings`.
+[[nodiscard]] std::optional<JournalHit> read_journal_row(
+    const std::string& dir, std::uint64_t digest, const MachineSpec& cfg,
+    std::string_view app, ProblemScale scale,
+    std::vector<std::string>& warnings);
 
 }  // namespace csim

@@ -1,4 +1,4 @@
-// The sweep journal's record codec and its hardened loader: every corruption
+// The sweep journal's record codec and its hardened reader: every corruption
 // shape a crash (or the fault injector) can produce must degrade into a
 // warning + re-simulation, never a wrong or missing answer.
 #include <gtest/gtest.h>
@@ -7,8 +7,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/core/record_file.hpp"
 #include "src/obs/manifest.hpp"
@@ -80,29 +82,24 @@ void expect_equal(const JournalRecord& a, const JournalRecord& b) {
   }
 }
 
+/// Decodes `bytes` as one record, failing the test on rejection.
+JournalRecord decode_ok(const std::string& bytes) {
+  std::string why;
+  std::optional<JournalRecord> rec = decode_journal_record(bytes, why);
+  EXPECT_TRUE(rec.has_value()) << why;
+  return rec.value_or(JournalRecord{});
+}
+
+/// Expects `bytes` to be rejected with a reason containing `what`.
+void expect_rejected(std::string_view bytes, const std::string& what) {
+  std::string why;
+  EXPECT_FALSE(decode_journal_record(bytes, why).has_value());
+  EXPECT_NE(why.find(what), std::string::npos) << why;
+}
+
 TEST(JournalCodec, RoundTripsEveryField) {
   const JournalRecord rec = sample_record();
-  const JournalLoad load =
-      decode_journal_records(encode_journal_record(rec), "mem");
-  EXPECT_TRUE(load.warnings.empty());
-  ASSERT_EQ(load.records.size(), 1u);
-  expect_equal(load.records[0], rec);
-}
-
-TEST(JournalCodec, DecodesConcatenatedRecords) {
-  const std::string bytes = encode_journal_record(sample_record(1)) +
-                            encode_journal_record(sample_record(2));
-  const JournalLoad load = decode_journal_records(bytes, "mem");
-  EXPECT_TRUE(load.warnings.empty());
-  ASSERT_EQ(load.records.size(), 2u);
-  EXPECT_EQ(load.records[0].wall_time, sample_record(1).wall_time);
-  EXPECT_EQ(load.records[1].wall_time, sample_record(2).wall_time);
-}
-
-TEST(JournalCodec, EmptyBufferIsEmptyJournal) {
-  const JournalLoad load = decode_journal_records("", "mem");
-  EXPECT_TRUE(load.records.empty());
-  EXPECT_TRUE(load.warnings.empty());
+  expect_equal(decode_ok(encode_journal_record(rec)), rec);
 }
 
 // The on-disk bytes, not just the round trip: journals written by earlier
@@ -126,169 +123,193 @@ TEST(JournalCodec, Version1RecordsStillDecode) {
   v1.u64(payload.size());
   v1.u64(fnv1a(payload));
   v1.out.append(payload);
-  const JournalLoad load = decode_journal_records(v1.out, "mem");
-  EXPECT_TRUE(load.warnings.empty());
-  ASSERT_EQ(load.records.size(), 1u);
-  expect_equal(load.records[0], sample_record());
-  EXPECT_FALSE(load.records[0].sampled);
+  const JournalRecord rec = decode_ok(v1.out);
+  expect_equal(rec, sample_record());
+  EXPECT_FALSE(rec.sampled);
 }
 
 // --- Corruption shapes ------------------------------------------------------
 
 TEST(JournalHardening, TruncatedHeaderIsSkippedWithWarning) {
   const std::string bytes = encode_journal_record(sample_record());
-  const JournalLoad load =
-      decode_journal_records(std::string_view(bytes).substr(0, 10), "mem");
-  EXPECT_TRUE(load.records.empty());
-  ASSERT_EQ(load.warnings.size(), 1u);
-  EXPECT_NE(load.warnings[0].find("truncated frame header"),
-            std::string::npos);
+  expect_rejected(std::string_view(bytes).substr(0, 10),
+                  "truncated frame header");
 }
 
 TEST(JournalHardening, TruncatedPayloadIsSkippedWithWarning) {
   const std::string bytes = encode_journal_record(sample_record());
   // Cut mid-payload: the frame header survives but declares more bytes than
   // remain — the exact shape a killed append would leave without atomicity.
-  const JournalLoad load = decode_journal_records(
-      std::string_view(bytes).substr(0, bytes.size() / 2), "mem");
-  EXPECT_TRUE(load.records.empty());
-  ASSERT_EQ(load.warnings.size(), 1u);
-  EXPECT_NE(load.warnings[0].find("truncated record"), std::string::npos);
+  expect_rejected(std::string_view(bytes).substr(0, bytes.size() / 2),
+                  "truncated record");
 }
 
 TEST(JournalHardening, ChecksumMismatchIsSkippedWithWarning) {
   std::string bytes = encode_journal_record(sample_record());
   bytes[bytes.size() - 3] ^= 0x40;  // flip a payload bit
-  const JournalLoad load = decode_journal_records(bytes, "mem");
-  EXPECT_TRUE(load.records.empty());
-  ASSERT_EQ(load.warnings.size(), 1u);
-  EXPECT_NE(load.warnings[0].find("checksum mismatch"), std::string::npos);
-}
-
-TEST(JournalHardening, RecordAfterChecksumFailureStillLoads) {
-  // A bit flip in record 1's payload must not take record 2 down with it:
-  // the frame length still delimits the damage.
-  std::string first = encode_journal_record(sample_record(1));
-  first[first.size() - 3] ^= 0x01;
-  const std::string bytes = first + encode_journal_record(sample_record(2));
-  const JournalLoad load = decode_journal_records(bytes, "mem");
-  ASSERT_EQ(load.records.size(), 1u);
-  expect_equal(load.records[0], sample_record(2));
-  EXPECT_EQ(load.warnings.size(), 1u);
+  expect_rejected(bytes, "checksum mismatch");
 }
 
 TEST(JournalHardening, BadMagicDropsTheRestOfTheFile) {
-  std::string bytes = "GARBAGE" + encode_journal_record(sample_record());
-  const JournalLoad load = decode_journal_records(bytes, "mem");
-  EXPECT_TRUE(load.records.empty());
-  ASSERT_EQ(load.warnings.size(), 1u);
-  EXPECT_NE(load.warnings[0].find("bad magic"), std::string::npos);
+  // Without a trusted header nothing after it is read, not even a sound
+  // record.
+  expect_rejected("GARBAGE" + encode_journal_record(sample_record()),
+                  "bad magic");
 }
 
 TEST(JournalHardening, UnsupportedVersionIsSkippedWithWarning) {
   std::string bytes = encode_journal_record(sample_record());
   bytes[4] = 9;  // version byte
-  const JournalLoad load = decode_journal_records(bytes, "mem");
-  EXPECT_TRUE(load.records.empty());
-  ASSERT_EQ(load.warnings.size(), 1u);
-  EXPECT_NE(load.warnings[0].find("unsupported version 9"), std::string::npos);
+  expect_rejected(bytes, "unsupported version 9");
 }
 
 TEST(JournalHardening, AbsurdPayloadLengthIsTruncationNotAllocation) {
   std::string bytes = encode_journal_record(sample_record());
   for (int i = 5; i < 13; ++i) bytes[i] = '\xff';  // payload_len = 2^64 - 1
-  const JournalLoad load = decode_journal_records(bytes, "mem");
-  EXPECT_TRUE(load.records.empty());
-  ASSERT_EQ(load.warnings.size(), 1u);
-  EXPECT_NE(load.warnings[0].find("truncated record"), std::string::npos);
+  expect_rejected(bytes, "truncated record");
 }
 
-TEST(JournalHardening, DuplicateDigestFirstRecordWins) {
-  JournalRecord second = sample_record();
-  second.wall_time = 777;  // same digest key, different payload
-  const std::string bytes = encode_journal_record(sample_record()) +
-                            encode_journal_record(second);
-  const JournalLoad load = decode_journal_records(bytes, "mem");
-  ASSERT_EQ(load.records.size(), 1u);
-  EXPECT_EQ(load.records[0].wall_time, sample_record().wall_time);
-  ASSERT_EQ(load.warnings.size(), 1u);
-  EXPECT_NE(load.warnings[0].find("duplicate record"), std::string::npos);
+TEST(JournalHardening, BytesAfterTheRecordAreRejected) {
+  // A record file holds exactly one frame; anything after it is damage.
+  expect_rejected(encode_journal_record(sample_record(1)) +
+                      encode_journal_record(sample_record(2)),
+                  "bytes after the record");
 }
 
-// --- Directory-level append / load ------------------------------------------
+// --- Reading a row by its digest -------------------------------------------
+
+/// A completed row whose record verifies against its own spec.
+SimResult sample_row(unsigned ppc) {
+  SimResult r;
+  r.config.num_procs = 16;
+  r.config.procs_per_cluster = ppc;
+  r.app_name = "fft";
+  r.scale = ProblemScale::Test;
+  r.wall_time = 4000 + ppc;
+  r.events = 999;
+  r.host_seconds = 0.125;
+  r.totals.reads = 100;
+  r.per_proc.resize(16);
+  r.per_cluster.resize(16 / ppc);
+  return r;
+}
+
+std::uint64_t digest_of(const SimResult& r) {
+  return obs::config_digest(r.config, r.app_name, r.scale);
+}
+
+/// read_journal_row for `r`'s spec, the read run_sweep's resume makes.
+std::optional<JournalHit> read_row(const std::string& dir, const SimResult& r,
+                                   std::vector<std::string>& warnings) {
+  return read_journal_row(dir, digest_of(r), r.config, r.app_name, r.scale,
+                          warnings);
+}
+
+/// Writes `bytes` at the record path of `digest`, bypassing the writer.
+void write_raw(const std::string& dir, std::uint64_t digest,
+               std::string_view bytes) {
+  std::ofstream os(journal_record_path(dir, digest), std::ios::binary);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
 
 TEST(JournalDir, AppendThenLoadRoundTrips) {
   const TempDir tmp("append");
-  append_journal_record(tmp.path(), sample_record(1));
-  append_journal_record(tmp.path(), sample_record(2));
-  const JournalLoad load = load_journal(tmp.path());
-  EXPECT_TRUE(load.warnings.empty());
-  ASSERT_EQ(load.records.size(), 2u);
+  append_journal_record(tmp.path(),
+                        journal_record_from_result(sample_row(1), 1));
+  append_journal_record(tmp.path(),
+                        journal_record_from_result(sample_row(2), 3));
+  std::vector<std::string> warnings;
+  const auto h1 = read_row(tmp.path(), sample_row(1), warnings);
+  const auto h2 = read_row(tmp.path(), sample_row(2), warnings);
+  EXPECT_TRUE(warnings.empty());
+  ASSERT_TRUE(h1 && h2);
+  EXPECT_EQ(h1->attempts, 1u);
+  EXPECT_EQ(h2->attempts, 3u);
+  EXPECT_EQ(obs::result_digest(h2->result), obs::result_digest(sample_row(2)));
 }
 
 TEST(JournalDir, AppendOverwritesTheSameRowAtomically) {
   const TempDir tmp("overwrite");
-  append_journal_record(tmp.path(), sample_record());
-  JournalRecord updated = sample_record();
-  updated.attempts = 5;
-  append_journal_record(tmp.path(), updated);
-  const JournalLoad load = load_journal(tmp.path());
-  ASSERT_EQ(load.records.size(), 1u);
-  EXPECT_EQ(load.records[0].attempts, 5u);
+  append_journal_record(tmp.path(),
+                        journal_record_from_result(sample_row(2), 1));
+  append_journal_record(tmp.path(),
+                        journal_record_from_result(sample_row(2), 5));
+  std::vector<std::string> warnings;
+  const auto hit = read_row(tmp.path(), sample_row(2), warnings);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->attempts, 5u);
   // No stray temp files: the atomic writer renamed or cleaned up.
-  std::size_t files = 0;
-  for (const auto& e : fs::directory_iterator(tmp.path())) {
-    (void)e;
-    ++files;
-  }
-  EXPECT_EQ(files, 1u);
+  EXPECT_EQ(std::distance(fs::directory_iterator(tmp.path()),
+                          fs::directory_iterator{}),
+            1);
 }
 
 TEST(JournalDir, MissingDirectoryIsEmptyJournal) {
-  const JournalLoad load = load_journal("/nonexistent/journal/dir");
-  EXPECT_TRUE(load.records.empty());
-  EXPECT_TRUE(load.warnings.empty());
+  std::vector<std::string> warnings;
+  EXPECT_FALSE(read_row("/nonexistent/journal/dir", sample_row(2), warnings));
+  EXPECT_TRUE(warnings.empty());
 }
 
 TEST(JournalDir, CreatesTheDirectoryOnFirstAppend) {
   const TempDir tmp("create");
   const std::string nested = tmp.path() + "/a/b";
-  append_journal_record(nested, sample_record());
-  EXPECT_EQ(load_journal(nested).records.size(), 1u);
+  append_journal_record(nested, journal_record_from_result(sample_row(2), 1));
+  std::vector<std::string> warnings;
+  EXPECT_TRUE(read_row(nested, sample_row(2), warnings));
 }
 
 TEST(JournalDir, CorruptFileSkippedHealthySiblingLoads) {
   const TempDir tmp("mixed");
-  append_journal_record(tmp.path(), sample_record(1));
-  const JournalRecord bad = sample_record(2);
-  {
-    const std::string bytes = encode_journal_record(bad);
-    std::ofstream os(journal_record_path(tmp.path(), bad.config_digest),
-                     std::ios::binary);
-    os.write(bytes.data(),
-             static_cast<std::streamsize>(bytes.size() / 3));  // torn
-  }
-  const JournalLoad load = load_journal(tmp.path());
-  ASSERT_EQ(load.records.size(), 1u);
-  EXPECT_EQ(load.records[0].config_digest, sample_record(1).config_digest);
-  ASSERT_EQ(load.warnings.size(), 1u);
-  EXPECT_NE(load.warnings[0].find("truncated"), std::string::npos);
+  append_journal_record(tmp.path(),
+                        journal_record_from_result(sample_row(1), 1));
+  const std::string bytes =
+      encode_journal_record(journal_record_from_result(sample_row(2), 1));
+  write_raw(tmp.path(), digest_of(sample_row(2)),
+            std::string_view(bytes).substr(0, bytes.size() / 3));  // torn
+  std::vector<std::string> warnings;
+  EXPECT_TRUE(read_row(tmp.path(), sample_row(1), warnings));
+  EXPECT_TRUE(warnings.empty());
+  EXPECT_FALSE(read_row(tmp.path(), sample_row(2), warnings));
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("truncated"), std::string::npos);
 }
 
 TEST(JournalDir, ZeroLengthFileSkippedWithWarning) {
   // A crash between creating a record file and its first write leaves a
-  // zero-length .csj: the loader must treat it like a truncated record —
+  // zero-length .csj: the reader must treat it like a truncated record —
   // warn and re-simulate — not error or silently drop the warning.
   const TempDir tmp("zerolen");
-  append_journal_record(tmp.path(), sample_record(1));
-  {
-    std::ofstream os(tmp.path() + "/0000000000000002.csj", std::ios::binary);
-  }
-  const JournalLoad load = load_journal(tmp.path());
-  ASSERT_EQ(load.records.size(), 1u);
-  EXPECT_EQ(load.records[0].config_digest, sample_record(1).config_digest);
-  ASSERT_EQ(load.warnings.size(), 1u);
-  EXPECT_NE(load.warnings[0].find("empty record file"), std::string::npos);
+  write_raw(tmp.path(), digest_of(sample_row(2)), "");
+  std::vector<std::string> warnings;
+  EXPECT_FALSE(read_row(tmp.path(), sample_row(2), warnings));
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("empty record file"), std::string::npos);
+}
+
+TEST(JournalDir, RecordUnderAnotherDigestsNameIsRejected) {
+  // A sound record is only evidence for the row its file name keys.
+  const TempDir tmp("misnamed");
+  write_raw(tmp.path(), digest_of(sample_row(2)),
+            encode_journal_record(journal_record_from_result(sample_row(1), 1)));
+  std::vector<std::string> warnings;
+  EXPECT_FALSE(read_row(tmp.path(), sample_row(2), warnings));
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("does not match its file name"),
+            std::string::npos);
+}
+
+TEST(JournalDir, StaleRecordIsRejected) {
+  // A record whose stored row no longer re-hashes to its result digest (an
+  // older build's answer, or tampering) costs a re-simulation.
+  const TempDir tmp("stale");
+  JournalRecord rec = journal_record_from_result(sample_row(2), 1);
+  rec.wall_time += 1;
+  append_journal_record(tmp.path(), rec);
+  std::vector<std::string> warnings;
+  EXPECT_FALSE(read_row(tmp.path(), sample_row(2), warnings));
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("fails result-digest verification"),
+            std::string::npos);
 }
 
 // --- Result conversion ------------------------------------------------------

@@ -46,6 +46,13 @@ SimResult fake_result(unsigned ppc, Cycles cpu, Cycles load, Cycles merge,
   return r;
 }
 
+/// A sweep of `rows` with default outcomes (ok, one attempt).
+SweepResult sweep_of(std::vector<SimResult> rows) {
+  SweepResult s;
+  s.rows = std::move(rows);
+  return s;
+}
+
 TEST(Figures, FirstBarIsHundred) {
   const auto bars =
       bars_from_sweep({fake_result(1, 60, 30, 0, 10), fake_result(2, 60, 15, 5, 10)});
@@ -131,7 +138,8 @@ TEST(Experiment, BenchOptionsParseCheckedAcceptsValidInput) {
 
 TEST(Experiment, CsvHasHeaderAndRows) {
   std::ostringstream os;
-  write_csv(os, {fake_result(1, 10, 5, 0, 1), fake_result(2, 10, 3, 1, 1)});
+  write_csv(os, sweep_of({fake_result(1, 10, 5, 0, 1),
+                          fake_result(2, 10, 3, 1, 1)}));
   const std::string s = os.str();
   EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 3);
   EXPECT_NE(s.find("app,scale,procs,ppc"), std::string::npos);
@@ -144,7 +152,7 @@ TEST(Experiment, CsvCarriesProblemScale) {
   SimResult test = fake_result(2, 10, 3, 1, 1);
   test.scale = ProblemScale::Test;
   std::ostringstream os;
-  write_csv(os, {paper, test});
+  write_csv(os, sweep_of({paper, test}));
   const std::string s = os.str();
   EXPECT_NE(s.find("fake,paper,"), std::string::npos);
   EXPECT_NE(s.find("fake,test,"), std::string::npos);
@@ -159,7 +167,7 @@ TEST(Experiment, CsvSkipsFailedRowsAndFailureTableIsQuietWhenClean) {
   bad.error_kind = "deadlock";
   bad.error = "deadlock: stuck";
   std::ostringstream csv;
-  write_csv(csv, {ok, bad});
+  write_csv(csv, sweep_of({ok, bad}));
   const std::string s = csv.str();
   EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 2)
       << "header plus the one successful row";

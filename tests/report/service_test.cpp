@@ -114,7 +114,7 @@ SimResult fake_result(unsigned ppc) {
 }
 
 TEST(ResultCache, MemoryTierRoundTrips) {
-  serve::ResultCache cache("");  // memory only
+  serve::ResultCache cache;
   const SimResult r = fake_result(4);
   const std::uint64_t d = obs::config_digest(r.config, r.app_name, r.scale);
   EXPECT_FALSE(
@@ -123,56 +123,21 @@ TEST(ResultCache, MemoryTierRoundTrips) {
   const auto hit = cache.lookup(d, r.config, "fft", ProblemScale::Test,
                                 nullptr);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->tier, serve::ResultCache::Tier::Memory);
   EXPECT_EQ(hit->attempts, 2u);
   EXPECT_EQ(hit->result.wall_time, r.wall_time);
   EXPECT_EQ(obs::result_digest(hit->result), obs::result_digest(r));
 }
 
 TEST(ResultCache, FailedRowsAreNeverCached) {
-  serve::ResultCache cache("");
+  serve::ResultCache cache;
   SimResult r = fake_result(4);
   r.ok = false;
   cache.insert(r, 1);
   EXPECT_EQ(cache.memory_entries(), 0u);
 }
 
-TEST(ResultCache, JournalTierProbesAndPromotes) {
-  const TempDir tmp("journal_tier");
-  const SimResult r = fake_result(2);
-  const std::uint64_t d = obs::config_digest(r.config, r.app_name, r.scale);
-  append_journal_record(tmp.path(), journal_record_from_result(r, 3));
-
-  serve::ResultCache cache(tmp.path());
-  std::vector<std::string> warnings;
-  const auto cold = cache.lookup(d, r.config, "fft", ProblemScale::Test,
-                                 &warnings);
-  ASSERT_TRUE(cold.has_value());
-  EXPECT_EQ(cold->tier, serve::ResultCache::Tier::Journal);
-  EXPECT_EQ(cold->attempts, 3u);
-  EXPECT_TRUE(warnings.empty());
-  // Promoted: the second lookup is a memory hit.
-  const auto warm = cache.lookup(d, r.config, "fft", ProblemScale::Test,
-                                 &warnings);
-  ASSERT_TRUE(warm.has_value());
-  EXPECT_EQ(warm->tier, serve::ResultCache::Tier::Memory);
-}
-
-TEST(ResultCache, EmptyJournalFileIsAWarnedMiss) {
-  const TempDir tmp("empty_file");
-  const SimResult r = fake_result(2);
-  const std::uint64_t d = obs::config_digest(r.config, r.app_name, r.scale);
-  { std::ofstream os(tmp.path() + "/" + obs::digest_hex(d) + ".csj"); }
-  serve::ResultCache cache(tmp.path());
-  std::vector<std::string> warnings;
-  EXPECT_FALSE(
-      cache.lookup(d, r.config, "fft", ProblemScale::Test, &warnings));
-  ASSERT_EQ(warnings.size(), 1u);
-  EXPECT_NE(warnings[0].find("empty record file"), std::string::npos);
-}
-
 TEST(ResultCache, CacheMaxEvictsLeastRecentlyUsed) {
-  serve::ResultCache cache("", 2);  // memory only, two entries max
+  serve::ResultCache cache(2);  // two entries max
   EXPECT_EQ(cache.max_entries(), 2u);
   const SimResult r1 = fake_result(1);
   const SimResult r2 = fake_result(2);
@@ -196,38 +161,8 @@ TEST(ResultCache, CacheMaxEvictsLeastRecentlyUsed) {
                             nullptr));  // evicted
 }
 
-TEST(ResultCache, EvictedRowsStillServedFromJournal) {
-  // With a journal directory behind the memory tier, the LRU bound trades a
-  // file probe, never a re-simulation: the evicted row comes back as a
-  // journal hit and is re-promoted (evicting the new LRU entry in turn).
-  const TempDir tmp("evict_journal");
-  const SimResult r1 = fake_result(1);
-  const SimResult r2 = fake_result(2);
-  append_journal_record(tmp.path(), journal_record_from_result(r1, 1));
-  append_journal_record(tmp.path(), journal_record_from_result(r2, 1));
-  serve::ResultCache cache(tmp.path(), 1);
-  const auto digest = [](const SimResult& r) {
-    return obs::config_digest(r.config, r.app_name, r.scale);
-  };
-  std::vector<std::string> warnings;
-  const auto h1 = cache.lookup(digest(r1), r1.config, "fft",
-                               ProblemScale::Test, &warnings);
-  ASSERT_TRUE(h1.has_value());
-  EXPECT_EQ(h1->tier, serve::ResultCache::Tier::Journal);
-  const auto h2 = cache.lookup(digest(r2), r2.config, "fft",
-                               ProblemScale::Test, &warnings);
-  ASSERT_TRUE(h2.has_value());
-  EXPECT_EQ(cache.memory_entries(), 1u);  // r1 was evicted for r2
-  const auto h1_again = cache.lookup(digest(r1), r1.config, "fft",
-                                     ProblemScale::Test, &warnings);
-  ASSERT_TRUE(h1_again.has_value());
-  EXPECT_EQ(h1_again->tier, serve::ResultCache::Tier::Journal);
-  EXPECT_TRUE(warnings.empty());
-  EXPECT_EQ(obs::result_digest(h1_again->result), obs::result_digest(r1));
-}
-
 TEST(ResultCache, UnboundedByDefault) {
-  serve::ResultCache cache("");
+  serve::ResultCache cache;
   for (unsigned ppc : {1u, 2u, 4u, 8u}) cache.insert(fake_result(ppc), 1);
   EXPECT_EQ(cache.max_entries(), 0u);
   EXPECT_EQ(cache.memory_entries(), 4u);
@@ -306,6 +241,93 @@ TEST(ServiceSession, SweepThenRepeatIsAllCacheHits) {
     }
   }
   EXPECT_EQ(parse_line(third.back()).find("journal_hits")->as_number(), 3);
+}
+
+/// The `row` lines of a response, parsed.
+std::vector<json::Value> row_lines(const std::vector<std::string>& out) {
+  std::vector<json::Value> rows;
+  for (const std::string& l : out) {
+    json::Value v = parse_line(l);
+    if (line_type(v) == "row") rows.push_back(std::move(v));
+  }
+  return rows;
+}
+
+// The cache's journal tier is run_sweep's resume inside the session: the
+// next three tests drive it through ServiceSession.
+
+TEST(ResultCache, JournalTierProbesAndPromotes) {
+  const TempDir tmp("journal_tier");
+  const std::string jdir = tmp.path() + "/jdir";
+  {
+    serve::ServiceSession writer({jdir, {}});
+    run_line(writer, kSweep);
+  }
+  serve::ServiceSession session({jdir, {}});
+  const std::vector<std::string> cold = run_line(session, kSweep);
+  const std::vector<json::Value> cold_rows = row_lines(cold);
+  ASSERT_EQ(cold_rows.size(), 3u);
+  for (const json::Value& v : cold_rows) {
+    EXPECT_EQ(v.find("from_cache")->as_bool(), true);
+    EXPECT_EQ(v.find("tier")->as_string(), "journal");
+  }
+  EXPECT_EQ(cold.size(), 4u) << "no warning lines";
+  EXPECT_EQ(parse_line(cold.back()).find("journal_hits")->as_number(), 3);
+  // Promoted: the repeat is served from memory.
+  EXPECT_EQ(session.cache().memory_entries(), 3u);
+  const std::vector<std::string> warm = run_line(session, kSweep);
+  for (const json::Value& v : row_lines(warm)) {
+    EXPECT_EQ(v.find("tier")->as_string(), "memory");
+  }
+  EXPECT_EQ(parse_line(warm.back()).find("memory_hits")->as_number(), 3);
+}
+
+TEST(ResultCache, EmptyJournalFileIsAWarnedMiss) {
+  // A crash between creating a record file and writing it leaves it empty:
+  // the row re-simulates with a warning, and its record is rewritten.
+  const TempDir tmp("empty_file");
+  const serve::ServiceRequest req = parse(kSweep);
+  const std::uint64_t d =
+      obs::config_digest(req.configs()[0], "fft", ProblemScale::Test);
+  const std::string path = journal_record_path(tmp.path(), d);
+  { std::ofstream os(path); }
+  serve::ServiceSession session({tmp.path(), {}});
+  const std::vector<std::string> out = run_line(session, kSweep);
+  std::size_t warnings = 0;
+  for (const std::string& l : out) {
+    const json::Value v = parse_line(l);
+    if (line_type(v) != "warning") continue;
+    ++warnings;
+    EXPECT_NE(v.find("message")->as_string().find("empty record file"),
+              std::string::npos);
+  }
+  EXPECT_EQ(warnings, 1u);
+  for (const json::Value& v : row_lines(out)) {
+    EXPECT_EQ(v.find("from_cache")->as_bool(), false);
+  }
+  const json::Value done = parse_line(out.back());
+  EXPECT_EQ(done.find("cache_hits")->as_number(), 0);
+  EXPECT_EQ(done.find("failures")->as_number(), 0);
+  EXPECT_GT(fs::file_size(path), 0u);
+}
+
+TEST(ResultCache, EvictedRowsStillServedFromJournal) {
+  // With a journal directory behind the memory tier, the LRU bound trades a
+  // file probe, never a re-simulation: rows evicted from the one-entry
+  // memory tier come back as journal hits.
+  const TempDir tmp("evict_journal");
+  serve::ServiceSession session({tmp.path(), {}, 1});
+  const std::vector<std::string> first = run_line(session, kSweep);
+  EXPECT_EQ(session.cache().memory_entries(), 1u);
+  const std::vector<std::string> second = run_line(session, kSweep);
+  const json::Value done1 = parse_line(first.back());
+  const json::Value done2 = parse_line(second.back());
+  EXPECT_EQ(done2.find("memory_hits")->as_number(), 1);
+  EXPECT_EQ(done2.find("journal_hits")->as_number(), 2);
+  EXPECT_EQ(done2.find("failures")->as_number(), 0);
+  EXPECT_EQ(done2.find("sweep_digest")->as_string(),
+            done1.find("sweep_digest")->as_string());
+  EXPECT_EQ(session.cache().memory_entries(), 1u);
 }
 
 TEST(ServiceSession, CsvArtifactIsByteIdenticalAcrossCacheTiers) {

@@ -322,7 +322,7 @@ TEST(ShardMerge, ThreeWayShardMergeIsByteExact) {
   base.policy.journal_dir = tmp.path();
   const SweepResult golden = run_sweep(base);
   std::ostringstream golden_csv;
-  write_csv(golden_csv, golden.rows);
+  write_csv(golden_csv, golden);
 
   std::vector<ShardManifest> manifests;
   std::vector<std::string> csvs;
@@ -336,7 +336,7 @@ TEST(ShardMerge, ThreeWayShardMergeIsByteExact) {
     req.policy.resume = true;
     const SweepResult part = run_sweep(req);
     std::ostringstream csv;
-    write_csv(csv, part.rows);
+    write_csv(csv, part);
     ShardManifest m;
     m.shard = {k, 3};
     m.rows_total = sel.rows_total;

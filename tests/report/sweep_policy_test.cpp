@@ -446,7 +446,7 @@ TEST(SweepPolicy, CheckpointGroupSharesOneWarmupAcrossWorkers) {
 
   // The first row warms in process and saves the checkpoint; the other
   // three run in the second wave and fast-forward from it concurrently.
-  req.policy.checkpoint_dir = tmp.path();
+  for (MachineSpec& c : req.configs) c.sampling.checkpoint_dir = tmp.path();
   const SweepResult first = run_sweep(req);
   std::vector<fs::path> files;
   for (const auto& e : fs::directory_iterator(tmp.path())) {
