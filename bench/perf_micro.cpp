@@ -1,31 +1,26 @@
-// Micro-benchmarks of the simulator core (google-benchmark): protocol
-// operations, cache storage, event queue, and end-to-end simulation
-// throughput in simulated references per second.
+// The tracked end-to-end perf baseline (docs/PERFORMANCE.md §4): simulated
+// references per second of whole runs, the number the CI perf gate
+// (tools/perf_check) compares against the committed BENCH_perf.json.
 //
-// `perf_micro --json [path]` skips google-benchmark and runs only the
-// end-to-end configurations, writing a machine-readable report (default
-// BENCH_perf.json) for the CI perf gate (tools/perf_check) — see
-// docs/PERFORMANCE.md. `--repeat N` (default 3) measures each configuration
-// N times and reports the median pass, damping scheduler and frequency
-// noise on shared CI runners. `--trace-out` / `--metrics-interval` attach
-// the src/obs observability layer to one end-to-end run (useful for
-// profiling the baseline workload itself).
-#include <benchmark/benchmark.h>
-
+//   perf_micro --json [path] [--repeat N]
+//
+// writes the report to `path` (default BENCH_perf.json). `--repeat N`
+// (default 3) measures each configuration N times and reports the median
+// pass, damping scheduler and frequency noise on shared CI runners. To
+// observe or journal one run, use csim_cli's flags on the same
+// configuration.
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
+#include <cstdio>
 #include <filesystem>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "bench/bench_util.hpp"
 #include "src/apps/app.hpp"
 #include "src/core/error.hpp"
-#include "src/core/event_queue.hpp"
 #include "src/core/simulator.hpp"
-#include "src/mem/cache.hpp"
-#include "src/mem/coherence.hpp"
-#include "src/obs/run_observer.hpp"
 #include "src/report/cli_args.hpp"
 
 namespace csim {
@@ -35,9 +30,7 @@ namespace {
 /// caches — the tracked perf-baseline configuration. Returns retired
 /// references.
 std::uint64_t end_to_end_once(ClusterStyle style, unsigned ppc,
-                              ContentionSpec contention = {},
-                              Observer* obs = nullptr,
-                              const char* app_name = "fft") {
+                              ContentionSpec contention, const char* app_name) {
   auto app = make_app(app_name, ProblemScale::Test);
   const MachineSpec cfg = MachineSpecBuilder{}
                               .procs(64)
@@ -46,95 +39,12 @@ std::uint64_t end_to_end_once(ClusterStyle style, unsigned ppc,
                               .cache_kb(16)
                               .contention(contention)
                               .build();
-  const SimResult r = simulate(*app, cfg, obs);
+  const SimResult r = simulate(*app, cfg);
   return r.totals.reads + r.totals.writes;
 }
 
-void BM_CacheInsertLookup(benchmark::State& state) {
-  const std::size_t lines = static_cast<std::size_t>(state.range(0));
-  CacheStorage cache(lines, 0, 64);
-  Addr a = 0;
-  for (auto _ : state) {
-    cache.insert(a, LineState::Shared);
-    benchmark::DoNotOptimize(cache.lookup(a));
-    a += 64;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CacheInsertLookup)->Arg(64)->Arg(1024);
-
-void BM_EventQueue(benchmark::State& state) {
-  EventQueue q;
-  Cycles t = 0;
-  int sink = 0;
-  for (auto _ : state) {
-    q.schedule(t + 5, [&sink] { ++sink; });
-    q.schedule(t + 3, [&sink] { ++sink; });
-    q.run_one();
-    q.run_one();
-    t += 10;
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * 2);
-}
-BENCHMARK(BM_EventQueue);
-
-void BM_CoherenceReadHit(benchmark::State& state) {
-  MachineSpec cfg;
-  cfg.num_procs = 64;
-  cfg.procs_per_cluster = 4;
-  cfg.cache.per_proc_bytes = 0;
-  AddressSpace as;
-  const Addr base = as.alloc(1 << 20, "bench");
-  CoherenceController coh(std::make_shared<const MachineSpec>(cfg), as);
-  (void)coh.read(0, base, 0);  // warm the line
-  Cycles now = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(coh.read(0, base, now++));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CoherenceReadHit);
-
-void BM_CoherenceCommunicationMiss(benchmark::State& state) {
-  MachineSpec cfg;
-  cfg.num_procs = 64;
-  cfg.procs_per_cluster = 1;
-  cfg.cache.per_proc_bytes = 0;
-  AddressSpace as;
-  const Addr base = as.alloc(1 << 20, "bench");
-  CoherenceController coh(std::make_shared<const MachineSpec>(cfg), as);
-  Cycles now = 0;
-  for (auto _ : state) {
-    // Write from cluster 0 invalidates, read from cluster 1 misses.
-    benchmark::DoNotOptimize(coh.write(0, base, now));
-    benchmark::DoNotOptimize(coh.read(1, base, now + 200));
-    now += 400;
-  }
-  state.SetItemsProcessed(state.iterations() * 2);
-}
-BENCHMARK(BM_CoherenceCommunicationMiss);
-
-void BM_EndToEndSim(benchmark::State& state) {
-  const unsigned ppc = static_cast<unsigned>(state.range(0));
-  const auto style = static_cast<ClusterStyle>(state.range(1));
-  std::uint64_t refs = 0;
-  for (auto _ : state) {
-    refs += end_to_end_once(style, ppc);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(refs));
-  state.SetLabel("simulated refs/s");
-}
-BENCHMARK(BM_EndToEndSim)
-    ->ArgNames({"ppc", "org"})
-    ->Args({1, static_cast<int>(ClusterStyle::SharedCache)})
-    ->Args({8, static_cast<int>(ClusterStyle::SharedCache)})
-    ->Args({1, static_cast<int>(ClusterStyle::SharedMemory)})
-    ->Args({8, static_cast<int>(ClusterStyle::SharedMemory)})
-    ->Unit(benchmark::kMillisecond);
-
-/// --json mode: measure each end-to-end configuration `repeat` times for at
-/// least `min_seconds` of wall time each, and report the median pass (by
+/// Measures each end-to-end configuration `repeat` times for at least
+/// `min_seconds` of wall time each, and reports the median pass (by
 /// throughput). Besides the four fft baseline rows, two `/contention` rows
 /// track the queued contention model's overhead, and per-organization radix
 /// and barnes rows cover a scatter-heavy and a pointer-chasing workload.
@@ -211,7 +121,7 @@ int json_main(const std::string& path, unsigned repeat) {
     ContentionSpec spec;
     spec.enabled = c.contention;
     measure(c.name, [&] {
-      return end_to_end_once(c.style, c.ppc, spec, nullptr, c.app);
+      return end_to_end_once(c.style, c.ppc, spec, c.app);
     });
   }
 
@@ -280,101 +190,39 @@ int json_main(const std::string& path, unsigned repeat) {
   return 0;
 }
 
-/// --trace-out / --metrics-interval / crash-safety-flag mode: one observed
-/// end-to-end run (shared-cache, ppc 8) through run_sweep, so the journal,
-/// deadline, retry, and fault-plan flags behave exactly as in csim_cli.
-int observed_main(const cli::ObsArgs& args) {
-  SweepRequest req;
-  req.make_app = [] { return make_app("fft", ProblemScale::Test); };
-  req.configs.push_back(MachineSpecBuilder{}
-                            .procs(64)
-                            .procs_per_cluster(8)
-                            .style(ClusterStyle::SharedCache)
-                            .cache_kb(16)
-                            .contention(args.contention)
-                            .build());
-  req.make_observer = args.observer_factory(req.configs.size());
-  args.apply(req);
-  const bool policy_active = !req.policy.journal_dir.empty() ||
-                             req.policy.faults != nullptr ||
-                             req.policy.row_deadline_seconds > 0 ||
-                             req.policy.max_retries > 0;
-
-  const SweepResult sweep = run_sweep(req);
-  const std::size_t failures = write_failures(std::cerr, sweep.rows);
-  if (policy_active) write_outcomes(std::cerr, sweep);
-  if (failures != 0 || sweep.rows.empty()) return 1;
-
-  const SimResult& r = sweep.rows.front();
-  const std::uint64_t refs = r.totals.reads + r.totals.writes;
-  std::printf("observed end_to_end/shared_cache/ppc8%s: %llu refs\n",
-              args.contention.enabled ? "/contention" : "",
-              static_cast<unsigned long long>(refs));
-  if (!args.trace_out.empty()) std::printf("wrote %s\n", args.trace_out.c_str());
-  if (args.metrics_interval != 0) {
-    std::printf("wrote %s.csv and %s.json\n", args.metrics_out.c_str(),
-                args.metrics_out.c_str());
-  }
-  return 0;
-}
-
 }  // namespace
 }  // namespace csim
 
 int main(int argc, char** argv) {
-  csim::cli::ObsArgs obs_args;  // same flag spellings as csim_cli
-  // --repeat applies to --json mode and may appear on either side of it.
+  const auto usage = [&] {
+    std::fprintf(stderr, "usage: %s --json [path] [--repeat N]\n",
+                 argc > 0 ? argv[0] : "perf_micro");
+    return 2;
+  };
   unsigned repeat = 3;
   std::string json_path;
-  bool json_mode = false;
   for (int i = 1; i < argc; ++i) {
     const std::string_view a = argv[i];
-    if (a == "--repeat") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--repeat: missing count\n");
-        return 2;
-      }
-      const long v = std::strtol(argv[++i], nullptr, 10);
-      if (v < 1 || v > 1000) {
-        std::fprintf(stderr, "--repeat: bad count '%s' (want 1..1000)\n",
-                     argv[i]);
-        return 2;
-      }
-      repeat = static_cast<unsigned>(v);
-      continue;
-    }
     if (a == "--json") {
       // The path operand is optional; a following flag is not a path.
-      json_mode = true;
       const bool has_path =
           i + 1 < argc && std::string_view(argv[i + 1]).substr(0, 2) != "--";
       json_path = has_path ? argv[++i] : "BENCH_perf.json";
-      continue;
+    } else if (a == "--repeat" && i + 1 < argc) {
+      try {
+        const std::uint64_t n = csim::cli::parse_u64("--repeat", argv[++i]);
+        if (n < 1 || n > 1000) {
+          throw csim::ConfigError("--repeat: out of range (1..1000)");
+        }
+        repeat = static_cast<unsigned>(n);
+      } catch (const csim::ConfigError& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return usage();
+      }
+    } else {
+      return usage();
     }
-    try {
-      obs_args.consume(argc, argv, i);
-    } catch (const csim::ConfigError& e) {
-      std::fprintf(stderr, "%s\n%s", e.what(), csim::cli::ObsArgs::usage());
-      return 2;
-    }
   }
-  if (obs_args.shard_set) {
-    // The observed run is one fixed row — there is nothing to partition.
-    std::fprintf(stderr, "--shard is not supported by perf_micro\n");
-    return 2;
-  }
-  if (json_mode) return csim::json_main(json_path, repeat);
-  const bool policy_flags = !obs_args.policy.journal_dir.empty() ||
-                            obs_args.fault_plan != nullptr ||
-                            obs_args.policy.row_deadline_seconds > 0 ||
-                            obs_args.policy.max_retries > 0;
-  if (obs_args.trace_out.empty() && obs_args.metrics_interval == 0 &&
-      !obs_args.contention.enabled && !policy_flags) {
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-  }
-  return csim::observed_main(obs_args);
+  if (json_path.empty()) return usage();
+  return csim::json_main(json_path, repeat);
 }

@@ -25,7 +25,7 @@ std::string get_string(const json::Value& v, const char* key,
 }
 
 std::uint64_t as_integer(const json::Value& f, const char* key,
-                         std::uint64_t min, std::uint64_t max) {
+                         FieldRange range) {
   if (!f.is_number()) {
     fail(std::string("field '") + key + "' must be a number");
   }
@@ -34,19 +34,18 @@ std::uint64_t as_integer(const json::Value& f, const char* key,
     fail(std::string("field '") + key + "' must be a non-negative integer");
   }
   const auto n = static_cast<std::uint64_t>(d);
-  if (n < min || n > max) {
+  if (n < range.min || n > range.max) {
     fail(std::string("field '") + key + "' out of range (" +
-         std::to_string(min) + ".." + std::to_string(max) + ")");
+         std::to_string(range.min) + ".." + std::to_string(range.max) + ")");
   }
   return n;
 }
 
 std::uint64_t get_integer(const json::Value& v, const char* key,
-                          std::uint64_t fallback, std::uint64_t min,
-                          std::uint64_t max) {
+                          std::uint64_t fallback, FieldRange range) {
   const json::Value* f = v.find(key);
   if (f == nullptr) return fallback;
-  return as_integer(*f, key, min, max);
+  return as_integer(*f, key, range);
 }
 
 bool get_bool(const json::Value& v, const char* key, bool fallback) {
@@ -59,6 +58,24 @@ bool get_bool(const json::Value& v, const char* key, bool fallback) {
 }
 
 }  // namespace jsonreq
+
+bool known_app(std::string_view name) {
+  const std::vector<std::string> names = app_names();
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+std::optional<ProblemScale> scale_named(std::string_view name) {
+  if (name == "test") return ProblemScale::Test;
+  if (name == "default") return ProblemScale::Default;
+  if (name == "paper") return ProblemScale::Paper;
+  return std::nullopt;
+}
+
+std::optional<ClusterStyle> style_named(std::string_view name) {
+  if (name == "cache") return ClusterStyle::SharedCache;
+  if (name == "memory") return ClusterStyle::SharedMemory;
+  return std::nullopt;
+}
 
 std::vector<MachineSpec> RunSpec::configs() const {
   std::vector<MachineSpec> out;
@@ -99,22 +116,13 @@ RunSpec RunSpec::from_json(const json::Value& v) {
   if (!v.is_object()) jsonreq::fail("document is not an object");
   RunSpec spec;
   spec.app = jsonreq::get_string(v, "app", spec.app);
-  const std::vector<std::string> names = app_names();
-  if (std::find(names.begin(), names.end(), spec.app) == names.end()) {
-    jsonreq::fail("unknown app '" + spec.app + "'");
-  }
-  const std::string scale = jsonreq::get_string(v, "scale", "default");
-  if (scale == "test") {
-    spec.scale = ProblemScale::Test;
-  } else if (scale == "default") {
-    spec.scale = ProblemScale::Default;
-  } else if (scale == "paper") {
-    spec.scale = ProblemScale::Paper;
-  } else {
-    jsonreq::fail("field 'scale' must be test, default, or paper");
-  }
-  spec.procs =
-      static_cast<unsigned>(jsonreq::get_integer(v, "procs", 64, 1, 4096));
+  if (!known_app(spec.app)) jsonreq::fail("unknown app '" + spec.app + "'");
+  const std::optional<ProblemScale> scale =
+      scale_named(jsonreq::get_string(v, "scale", "default"));
+  if (!scale) jsonreq::fail("field 'scale' must be test, default, or paper");
+  spec.scale = *scale;
+  spec.procs = static_cast<unsigned>(
+      jsonreq::get_integer(v, "procs", 64, kProcsRange));
   if (const json::Value* ppc = v.find("ppc"); ppc != nullptr) {
     if (!ppc->is_array() || ppc->as_array().empty()) {
       jsonreq::fail("field 'ppc' must be a non-empty array");
@@ -122,23 +130,19 @@ RunSpec RunSpec::from_json(const json::Value& v) {
     spec.ppcs.clear();
     for (const json::Value& e : ppc->as_array()) {
       spec.ppcs.push_back(
-          static_cast<unsigned>(jsonreq::as_integer(e, "ppc", 1, 4096)));
+          static_cast<unsigned>(jsonreq::as_integer(e, "ppc", kProcsRange)));
     }
   }
-  spec.cache_kb = jsonreq::get_integer(v, "cache_kb", 0, 0, 1u << 20);
+  spec.cache_kb = jsonreq::get_integer(v, "cache_kb", 0, kCacheKbRange);
   spec.assoc =
-      static_cast<unsigned>(jsonreq::get_integer(v, "assoc", 0, 0, 4096));
-  spec.line_bytes =
-      static_cast<unsigned>(jsonreq::get_integer(v, "line_bytes", 64, 1, 4096));
-  const std::string style = jsonreq::get_string(v, "style", "cache");
-  if (style == "cache") {
-    spec.style = ClusterStyle::SharedCache;
-  } else if (style == "memory") {
-    spec.style = ClusterStyle::SharedMemory;
-  } else {
-    jsonreq::fail("field 'style' must be cache or memory");
-  }
-  spec.quantum = jsonreq::get_integer(v, "quantum", 32, 1, 1u << 30);
+      static_cast<unsigned>(jsonreq::get_integer(v, "assoc", 0, kAssocRange));
+  spec.line_bytes = static_cast<unsigned>(
+      jsonreq::get_integer(v, "line_bytes", 64, kLineBytesRange));
+  const std::optional<ClusterStyle> style =
+      style_named(jsonreq::get_string(v, "style", "cache"));
+  if (!style) jsonreq::fail("field 'style' must be cache or memory");
+  spec.style = *style;
+  spec.quantum = jsonreq::get_integer(v, "quantum", 32, kQuantumRange);
   spec.hit_costs = jsonreq::get_bool(v, "hit_costs", false);
   return spec;
 }
