@@ -20,7 +20,7 @@
 #include "src/report/experiment.hpp"
 #include "src/report/figures.hpp"
 #include "src/report/gnuplot.hpp"
-#include "src/report/service.hpp"
+#include "src/report/shard.hpp"
 
 namespace {
 
@@ -49,8 +49,6 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // All row-building flags land in the shared RunSpec (src/report/run_spec
-  // .hpp) — the same struct the service protocol parses its requests into.
   RunSpec spec;
   bool csv = false;
   std::string gnuplot_base;
@@ -84,9 +82,6 @@ int main(int argc, char** argv) {
   }
 
   try {
-    // One builder path for every row: RunSpec::configs() is the same
-    // assembly the service protocol uses, so a CLI invocation and a service
-    // request with the same fields produce identical MachineSpec rows.
     spec.contention = obs_args.contention;
     SweepRequest req;
     req.make_app = [&] { return make_app(spec.app, spec.scale); };
@@ -97,12 +92,12 @@ int main(int argc, char** argv) {
     obs_args.apply(req);
     // Shard selection (--shard k/N): keep only the rows whose config digest
     // maps to this shard; every host given the same sweep agrees on the
-    // split without coordination (docs/SERVICE.md).
-    serve::ShardSelection sel;
+    // split without coordination (docs/ROBUSTNESS.md §7).
+    ShardSelection sel;
     if (obs_args.shard_set) {
       const std::unique_ptr<Program> probe = make_app(spec.app, spec.scale);
-      sel = serve::select_shard(req.configs, probe->name(), probe->scale(),
-                                obs_args.shard);
+      sel = select_shard(req.configs, probe->name(), probe->scale(),
+                         obs_args.shard);
       std::vector<MachineSpec> kept;
       kept.reserve(sel.indices.size());
       for (std::size_t i : sel.indices) kept.push_back(req.configs[i]);
@@ -147,20 +142,19 @@ int main(int argc, char** argv) {
       const std::string csv_path = obs_args.shard_out + ".csv";
       atomic_write_file(csv_path,
                         [&](std::ostream& os) { write_csv(os, sweep); });
-      serve::ShardManifest m;
+      ShardManifest m;
       m.shard = obs_args.shard;
       m.rows_total = sel.rows_total;
       m.csv_path = std::filesystem::path(csv_path).filename().string();
       long csv_line = 0;
       for (std::size_t j = 0; j < sweep.rows.size(); ++j) {
-        serve::ShardRowRef ref;
+        ShardRowRef ref;
         ref.index = sel.indices[j];
         ref.digest = sel.digests[j];
         ref.csv_line = sweep.rows[j].ok ? csv_line++ : -1;
         m.rows.push_back(ref);
       }
-      atomic_write_file(obs_args.shard_out + ".json",
-                        serve::write_shard_manifest(m));
+      atomic_write_file(obs_args.shard_out + ".json", write_shard_manifest(m));
       std::printf("wrote shard %s artifacts %s.csv and %s.json\n",
                   obs_args.shard.label().c_str(), obs_args.shard_out.c_str(),
                   obs_args.shard_out.c_str());

@@ -64,7 +64,7 @@ struct SweepProvenance {
   unsigned shard_index = 0;
   unsigned shard_count = 1;    ///< 1 = unsharded
   std::size_t rows_total = 0;  ///< full sweep rows before shard selection
-  std::size_t cache_hits = 0;  ///< rows served from the cache / journal
+  std::size_t cache_hits = 0;  ///< rows served from the journal
 };
 
 /// Writes the "csim.run_manifest/5" JSON document for a sweep: the shard and

@@ -49,6 +49,24 @@ double parse_f64(const std::string& flag, const std::string& val) {
   return v;
 }
 
+ShardSpec parse_shard(const std::string& spec) {
+  const std::size_t slash = spec.find('/');
+  if (slash == std::string::npos || slash == 0 || slash + 1 >= spec.size()) {
+    throw ConfigError("--shard: expected k/N, got '" + spec + "'");
+  }
+  const std::uint64_t k = parse_u64("--shard", spec.substr(0, slash));
+  const std::uint64_t n = parse_u64("--shard", spec.substr(slash + 1));
+  if (n == 0 || n > kMaxShards) {
+    throw ConfigError("--shard: count out of range (1.." +
+                      std::to_string(kMaxShards) + "): '" + spec + "'");
+  }
+  if (k >= n) {
+    throw ConfigError("--shard: index must satisfy 0 <= k < N: '" + spec +
+                      "'");
+  }
+  return ShardSpec{static_cast<unsigned>(k), static_cast<unsigned>(n)};
+}
+
 bool consume_run_flag(RunSpec& spec, int argc, char** argv, int& i) {
   const std::string a = argv[i];
   const auto next = [&]() -> std::string {
@@ -210,7 +228,7 @@ bool ObsArgs::consume(int argc, char** argv, int& i) {
     }
     warm_quantum_set = true;
   } else if (a == "--shard") {
-    shard = serve::parse_shard(next());
+    shard = parse_shard(next());
     shard_set = true;
   } else if (a == "--shard-out") {
     shard_out = next();

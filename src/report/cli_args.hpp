@@ -1,6 +1,6 @@
 // Command-line parsing for the sweep driver (examples/csim_cli): the row
-// flags fill a RunSpec with the same names and ranges as a service request,
-// and the observability, contention-model and crash-safety flags are one
+// flags fill a RunSpec, checked against its FieldRange bounds, and the
+// observability, contention-model, crash-safety and shard flags are one
 // checked group with one per-row observer factory.
 #pragma once
 
@@ -12,7 +12,7 @@
 #include "src/report/experiment.hpp"
 #include "src/report/fault_injection.hpp"
 #include "src/report/run_spec.hpp"
-#include "src/report/service.hpp"
+#include "src/report/shard.hpp"
 
 namespace csim::cli {
 
@@ -23,13 +23,17 @@ std::uint64_t parse_u64(const std::string& flag, const std::string& val);
 /// Checked floating-point parse (same contract as parse_u64).
 double parse_f64(const std::string& flag, const std::string& val);
 
+/// Parses a --shard spec "k/N" (0 <= k < N <= kMaxShards, both through
+/// parse_u64). Throws ConfigError otherwise.
+[[nodiscard]] ShardSpec parse_shard(const std::string& spec);
+
 /// Tries to consume argv[i] as one of the row flags, advancing `i` past any
 /// value it takes:
 ///   --app NAME  --scale S  --procs N  --ppc A,B,...  --cache KB  --assoc N
 ///   --line B  --style S  --quantum N  --hit-costs
-/// Values are checked like RunSpec::from_json's fields (app list, scale and
-/// style names, FieldRange bounds). Returns false if the flag is not a row
-/// flag; throws ConfigError on a missing or invalid value.
+/// Values are checked against the app list, the scale and style names and
+/// the FieldRange bounds. Returns false if the flag is not a row flag;
+/// throws ConfigError on a missing or invalid value.
 bool consume_run_flag(RunSpec& spec, int argc, char** argv, int& i);
 
 /// The observability, contention-model and crash-safety flags:
@@ -62,9 +66,9 @@ struct ObsArgs {
   /// Owns the parsed --fault-plan; policy.faults points at it (apply()).
   std::shared_ptr<const FaultPlan> fault_plan;
   /// --shard k/N: run only the rows whose config digest maps to shard k of
-  /// N (docs/SERVICE.md). shard_set distinguishes an explicit --shard 0/1
-  /// (a trivial but valid single-shard spec) from no flag at all.
-  serve::ShardSpec shard{};
+  /// N (docs/ROBUSTNESS.md §7). shard_set distinguishes an explicit --shard
+  /// 0/1 (a trivial but valid single-shard spec) from no flag at all.
+  ShardSpec shard{};
   bool shard_set = false;
   /// --shard-out BASE: write BASE.csv + BASE.json shard artifacts for
   /// tools/csim_merge (requires --shard).

@@ -129,26 +129,6 @@ SweepResult run_sweep(const SweepRequest& req) {
     res.journal_warnings.push_back(std::move(w));
   };
 
-  // Row streaming (SweepRequest::on_row): serialized so the callback can
-  // write to a socket or mutate caller state without its own locking, and
-  // fenced so a throwing callback degrades to a warning, not a crash that
-  // takes the worker pool down.
-  std::mutex row_cb_mutex;
-  const auto notify_row = [&](std::size_t index) {
-    if (!req.on_row) return;
-    try {
-      const std::lock_guard<std::mutex> lock(row_cb_mutex);
-      req.on_row(index, res.rows[index], res.outcomes[index]);
-    } catch (const std::exception& e) {
-      warn(std::string("sweep: on_row callback threw: ") + e.what());
-    } catch (...) {
-      warn("sweep: on_row callback threw an unknown exception");
-    }
-  };
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (done[i]) notify_row(i);  // journal hits stream before the pool runs
-  }
-
   // Runs one row: attempt loop with deadline budgeting, bounded retry for
   // retryable SimError kinds, fault injection, and the write-ahead journal
   // append. Failures become ok == false rows carrying the SimError
@@ -289,7 +269,6 @@ SweepResult run_sweep(const SweepRequest& req) {
       }
     }
     res.rows[index] = std::move(r);
-    notify_row(index);
   };
 
   std::vector<std::size_t> pending;

@@ -58,18 +58,6 @@ struct SweepPolicy {
   const FaultPlan* faults = nullptr;
 };
 
-struct RowOutcome;
-
-/// Streaming hook: called exactly once per sweep row the moment that row's
-/// result is final (journal-resume hits fire before the worker pool starts;
-/// simulated rows fire from worker threads as they finish, in completion
-/// order, not request order). Calls are serialized by run_sweep — no two
-/// fire concurrently — and an exception thrown by the callback becomes a
-/// journal warning, never a sweep abort. The references are valid only for
-/// the duration of the call; copy what you keep.
-using RowCallback = std::function<void(
-    std::size_t index, const SimResult& row, const RowOutcome& outcome)>;
-
 /// Declarative description of one sweep: a fresh app per row (programs are
 /// stateful), the machine spec of every row, and optional per-row
 /// observability. The single entry point every driver builds.
@@ -78,7 +66,6 @@ struct SweepRequest {
   std::vector<MachineSpec> configs;
   ObserverFactory make_observer{};  ///< optional; null = unobserved rows
   SweepPolicy policy{};             ///< crash-safety knobs; default = off
-  RowCallback on_row{};             ///< optional row streaming (csim_serve)
 };
 
 /// How one sweep row reached its SimResult.

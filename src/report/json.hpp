@@ -1,13 +1,12 @@
-// Minimal JSON support for the sweep service (src/report/service.hpp): a
-// recursive-descent parser producing an immutable value tree, plus the
-// string escaper the JSON writers share. Deliberately small — the service
-// protocol and shard manifests are flat documents of strings, numbers, and
-// short arrays — and dependency-free (no external JSON library in the
-// toolchain image).
+// Minimal JSON support: a recursive-descent parser producing an immutable
+// value tree, which reads shard manifests (src/report/shard.hpp), plus the
+// string escaper the JSON writers share. Deliberately small — shard
+// manifests are flat documents of strings, numbers, and short arrays — and
+// dependency-free (no external JSON library in the toolchain image).
 //
 // Parsing limits (all produce a ConfigError, never UB): nesting depth 64,
 // numbers must fit a double, \uXXXX escapes cover the BMP only (surrogate
-// pairs are rejected — the protocol is ASCII in practice).
+// pairs are rejected — the documents are ASCII in practice).
 #pragma once
 
 #include <cstddef>

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -17,6 +18,7 @@
 #include "src/obs/manifest.hpp"
 #include "src/report/experiment.hpp"
 #include "src/report/fault_injection.hpp"
+#include "src/report/journal.hpp"
 
 namespace csim {
 namespace {
@@ -200,10 +202,32 @@ TEST(CrashResume, SecondResumeSimulatesNothing) {
   EXPECT_EQ(csv_of(second), first_csv);
 }
 
-// The sweep CSV's bytes, not just its columns: csim_cli --csv, the shard-merge
-// artifacts and the service's csv_out all write this schema, so a change to
-// the writer must fail here. Every row retries once, so every row ends
-// `,ok,2`.
+TEST(CrashResume, EmptyRecordFileReSimulatesAndIsRewritten) {
+  // A crash between creating a record file and writing it leaves it empty:
+  // the resume warns once, re-simulates the row and rewrites its record.
+  const TempDir tmp("empty_record");
+  SweepRequest req;
+  req.make_app = [] { return make_app("fft", ProblemScale::Test); };
+  req.configs = sweep_configs();
+  req.policy.journal_dir = tmp.path();
+  req.policy.resume = true;
+  const std::string path = journal_record_path(
+      tmp.path(),
+      obs::config_digest(req.configs[0], "fft", ProblemScale::Test));
+  { std::ofstream os(path); }
+  const SweepResult sweep = run_sweep(req);
+  ASSERT_TRUE(sweep.all_ok());
+  ASSERT_EQ(sweep.journal_warnings.size(), 1u);
+  EXPECT_NE(sweep.journal_warnings[0].find("empty record file"),
+            std::string::npos)
+      << sweep.journal_warnings[0];
+  EXPECT_FALSE(sweep.outcomes[0].from_journal);
+  EXPECT_GT(fs::file_size(path), 0u);
+}
+
+// The sweep CSV's bytes, not just its columns: csim_cli --csv and the
+// shard-merge artifacts both write this schema, so a change to the writer
+// must fail here. Every row retries once, so every row ends `,ok,2`.
 TEST(SweepReporting, CsvBytesArePinned) {
   FaultPlan plan;
   FaultSpec f;

@@ -13,7 +13,6 @@
 #include "src/core/error.hpp"
 #include "src/obs/manifest.hpp"
 #include "src/report/cli_args.hpp"
-#include "src/report/json.hpp"
 
 namespace csim {
 namespace {
@@ -304,7 +303,7 @@ TEST(ObsArgs, UsageDocumentsEveryFlag) {
        {"--trace-out", "--metrics-interval", "--metrics-out", "--manifest",
         "--contention", "--contention-busy", "--journal-dir", "--resume",
         "--row-deadline", "--retries", "--fault-plan", "--sample",
-        "--ckpt-dir", "--warm-quantum"}) {
+        "--ckpt-dir", "--warm-quantum", "--shard", "--shard-out"}) {
     EXPECT_NE(u.find(flag), std::string::npos) << flag;
   }
 }
@@ -324,17 +323,24 @@ RunSpec parse_run(std::vector<const char*> args) {
   return spec;
 }
 
-TEST(RunFlags, MatchTheJsonRequestWithTheSameFields) {
-  const RunSpec flags = parse_run(
-      {"--app", "fft", "--scale", "test", "--procs", "16", "--ppc", "2,8",
-       "--cache", "4", "--assoc", "2", "--line", "32", "--style", "memory",
-       "--quantum", "64", "--hit-costs"});
-  const RunSpec request = RunSpec::from_json(json::parse(
-      "{\"app\": \"fft\", \"scale\": \"test\", \"procs\": 16,"
-      " \"ppc\": [2, 8], \"cache_kb\": 4, \"assoc\": 2, \"line_bytes\": 32,"
-      " \"style\": \"memory\", \"quantum\": 64, \"hit_costs\": true}"));
-  EXPECT_EQ(flags, request);
-  EXPECT_EQ(parse_run({}), RunSpec::from_json(json::parse("{}")));
+TEST(RunFlags, SetTheFieldsTheyName) {
+  RunSpec want;
+  want.app = "fft";
+  want.scale = ProblemScale::Test;
+  want.procs = 16;
+  want.ppcs = {2, 8};
+  want.cache_kb = 4;
+  want.assoc = 2;
+  want.line_bytes = 32;
+  want.style = ClusterStyle::SharedMemory;
+  want.quantum = 64;
+  want.hit_costs = true;
+  EXPECT_EQ(parse_run({"--app", "fft", "--scale", "test", "--procs", "16",
+                       "--ppc", "2,8", "--cache", "4", "--assoc", "2", "--line",
+                       "32", "--style", "memory", "--quantum", "64",
+                       "--hit-costs"}),
+            want);
+  EXPECT_EQ(parse_run({}), RunSpec{});
 }
 
 TEST(RunFlags, RejectEveryBadValue) {

@@ -341,7 +341,7 @@ TEST(JournalResult, ResultRoundTripPreservesDigests) {
   EXPECT_EQ(rec.attempts, 3u);
 
   // The reconstituted row hashes to the same result digest — the exact check
-  // run_sweep --resume and the service cache perform before trusting it.
+  // run_sweep's resume performs before trusting it.
   std::string why;
   const std::optional<SimResult> back =
       verified_journal_result(rec, r.config, r.app_name, r.scale, why);

@@ -2,10 +2,6 @@
 // each run is an isolated, deterministic, single-threaded simulation.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
-
 #include "src/apps/app.hpp"
 #include "src/report/experiment.hpp"
 
@@ -69,59 +65,6 @@ TEST(ParallelSweep, MinimalSweepRequestPreservesRowOrder) {
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].config.procs_per_cluster, 2u);
   EXPECT_EQ(results[1].config.procs_per_cluster, 1u);
-}
-
-TEST(ParallelSweep, OnRowFiresOncePerRowWithMatchingResults) {
-  SweepRequest req;
-  req.make_app = [] { return make_app("fft", ProblemScale::Test); };
-  for (unsigned ppc : {1u, 2u, 4u, 8u}) {
-    req.configs.push_back(paper_machine(ppc, 0));
-  }
-  std::vector<int> fired(req.configs.size(), 0);
-  req.on_row = [&](std::size_t index, const SimResult& row,
-                   const RowOutcome& outcome) {
-    ASSERT_LT(index, fired.size());
-    fired[index] += 1;
-    // The callback sees the final row: same config slot, final outcome.
-    EXPECT_EQ(row.config.procs_per_cluster,
-              req.configs[index].procs_per_cluster);
-    EXPECT_EQ(outcome.status, RowOutcome::Status::Ok);
-    EXPECT_FALSE(outcome.from_journal);
-  };
-  const SweepResult res = run_sweep(req);
-  EXPECT_TRUE(res.all_ok());
-  for (int n : fired) EXPECT_EQ(n, 1);
-}
-
-TEST(ParallelSweep, OnRowSeesJournalResumeHitsAndSurvivesThrows) {
-  SweepRequest req;
-  req.make_app = [] { return make_app("fft", ProblemScale::Test); };
-  req.configs = {paper_machine(1, 0), paper_machine(4, 0)};
-  const std::string jdir =
-      (std::filesystem::temp_directory_path() /
-       ("csim_onrow_resume_" +
-        std::to_string(static_cast<unsigned long>(::getpid()))))
-          .string();
-  std::filesystem::remove_all(jdir);
-  req.policy.journal_dir = jdir;
-  (void)run_sweep(req);  // populate the journal
-
-  req.policy.resume = true;
-  std::size_t journal_rows = 0;
-  req.on_row = [&](std::size_t, const SimResult&, const RowOutcome& outcome) {
-    if (outcome.from_journal) ++journal_rows;
-    throw std::runtime_error("listener bug");  // must not abort the sweep
-  };
-  const SweepResult res = run_sweep(req);
-  std::filesystem::remove_all(jdir);
-  EXPECT_TRUE(res.all_ok());
-  EXPECT_EQ(journal_rows, 2u);  // resume hits stream through on_row too
-  // The throwing callback became warnings, one per row, not an abort.
-  std::size_t thrown = 0;
-  for (const std::string& w : res.journal_warnings) {
-    thrown += w.find("listener bug") != std::string::npos;
-  }
-  EXPECT_EQ(thrown, 2u);
 }
 
 // One single-threaded row per host core: the pool is never wider than the

@@ -1,4 +1,4 @@
-// Sharding algebra (src/report/service.hpp): the k/N spec parser, the pure
+// Sharding algebra (src/report/shard.hpp): the k/N spec parser, the pure
 // digest partition, shard selection over real sweep configs, the shard
 // manifest codec, and the merge validator that refuses to recombine
 // artifacts that are not disjoint, complete, and schema-identical.
@@ -10,22 +10,21 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/apps/app.hpp"
 #include "src/core/error.hpp"
 #include "src/obs/manifest.hpp"
+#include "src/report/cli_args.hpp"
 #include "src/report/experiment.hpp"
-#include "src/report/service.hpp"
+#include "src/report/shard.hpp"
 
 namespace csim {
 namespace {
 
 namespace fs = std::filesystem;
-
-using serve::ShardManifest;
-using serve::ShardRowRef;
-using serve::ShardSpec;
 
 /// A fresh per-test scratch directory under the system temp dir.
 class TempDir {
@@ -48,11 +47,11 @@ class TempDir {
 // --- parse_shard ------------------------------------------------------------
 
 TEST(ShardSpecParse, AcceptsValidSpecs) {
-  const ShardSpec a = serve::parse_shard("0/1");
+  const ShardSpec a = cli::parse_shard("0/1");
   EXPECT_EQ(a.index, 0u);
   EXPECT_EQ(a.count, 1u);
   EXPECT_FALSE(a.active());
-  const ShardSpec b = serve::parse_shard("2/3");
+  const ShardSpec b = cli::parse_shard("2/3");
   EXPECT_EQ(b.index, 2u);
   EXPECT_EQ(b.count, 3u);
   EXPECT_TRUE(b.active());
@@ -60,16 +59,21 @@ TEST(ShardSpecParse, AcceptsValidSpecs) {
 }
 
 TEST(ShardSpecParse, RejectsMalformedSpecs) {
-  EXPECT_THROW((void)serve::parse_shard("3/3"), ConfigError);   // k == N
-  EXPECT_THROW((void)serve::parse_shard("4/3"), ConfigError);   // k > N
-  EXPECT_THROW((void)serve::parse_shard("1/0"), ConfigError);   // N == 0
-  EXPECT_THROW((void)serve::parse_shard("1"), ConfigError);     // no slash
-  EXPECT_THROW((void)serve::parse_shard("a/b"), ConfigError);   // not numbers
-  EXPECT_THROW((void)serve::parse_shard("1/"), ConfigError);    // empty N
-  EXPECT_THROW((void)serve::parse_shard("/2"), ConfigError);    // empty k
-  EXPECT_THROW((void)serve::parse_shard("-1/2"), ConfigError);  // negative
-  EXPECT_THROW((void)serve::parse_shard("0/9999"), ConfigError);  // > 4096
-  EXPECT_THROW((void)serve::parse_shard(""), ConfigError);
+  EXPECT_THROW((void)cli::parse_shard("3/3"), ConfigError);   // k == N
+  EXPECT_THROW((void)cli::parse_shard("4/3"), ConfigError);   // k > N
+  EXPECT_THROW((void)cli::parse_shard("1/0"), ConfigError);   // N == 0
+  EXPECT_THROW((void)cli::parse_shard("1"), ConfigError);     // no slash
+  EXPECT_THROW((void)cli::parse_shard("a/b"), ConfigError);   // not numbers
+  EXPECT_THROW((void)cli::parse_shard("1/"), ConfigError);    // empty N
+  EXPECT_THROW((void)cli::parse_shard("/2"), ConfigError);    // empty k
+  EXPECT_THROW((void)cli::parse_shard("-1/2"), ConfigError);  // negative
+  EXPECT_THROW((void)cli::parse_shard("0/9999"), ConfigError);  // > 4096
+  EXPECT_THROW((void)cli::parse_shard(""), ConfigError);
+  // Digits only, as for every other numeric flag: strtoul would skip the
+  // leading whitespace and accept the sign.
+  for (const char* bad : {" 1/2", "+1/2", "1/ 2", "1/+2", "0/ 3", "\t0/2"}) {
+    EXPECT_THROW((void)cli::parse_shard(bad), ConfigError) << bad;
+  }
 }
 
 // --- shard_of ---------------------------------------------------------------
@@ -88,7 +92,7 @@ TEST(ShardPartition, EveryDigestLandsInExactlyOneShard) {
     for (std::uint64_t digest : digests) {
       unsigned owners = 0;
       for (unsigned k = 0; k < n; ++k) {
-        owners += serve::shard_of(digest, n) == k;
+        owners += shard_of(digest, n) == k;
       }
       EXPECT_EQ(owners, 1u) << "digest " << digest << " N " << n;
       covered += owners;
@@ -99,8 +103,8 @@ TEST(ShardPartition, EveryDigestLandsInExactlyOneShard) {
 
 TEST(ShardPartition, IsDeterministic) {
   for (std::uint64_t d : {0ULL, 1ULL, 0xdeadbeefULL, ~0ULL}) {
-    EXPECT_EQ(serve::shard_of(d, 3), serve::shard_of(d, 3));
-    EXPECT_EQ(serve::shard_of(d, 1), 0u);
+    EXPECT_EQ(shard_of(d, 3), shard_of(d, 3));
+    EXPECT_EQ(shard_of(d, 1), 0u);
   }
 }
 
@@ -124,14 +128,14 @@ TEST(ShardSelect, ShardsPartitionTheSweep) {
   std::set<std::size_t> seen;
   std::size_t kept = 0;
   for (unsigned k = 0; k < 3; ++k) {
-    const serve::ShardSelection sel =
-        serve::select_shard(configs, "fft", ProblemScale::Test, {k, 3});
+    const ShardSelection sel =
+        select_shard(configs, "fft", ProblemScale::Test, {k, 3});
     EXPECT_EQ(sel.rows_total, configs.size());
     ASSERT_EQ(sel.indices.size(), sel.digests.size());
     for (std::size_t i = 0; i < sel.indices.size(); ++i) {
       EXPECT_TRUE(seen.insert(sel.indices[i]).second)
           << "row " << sel.indices[i] << " claimed twice";
-      EXPECT_EQ(serve::shard_of(sel.digests[i], 3), k);
+      EXPECT_EQ(shard_of(sel.digests[i], 3), k);
       EXPECT_EQ(sel.digests[i],
                 obs::config_digest(configs[sel.indices[i]], "fft",
                                    ProblemScale::Test));
@@ -143,8 +147,8 @@ TEST(ShardSelect, ShardsPartitionTheSweep) {
 
 TEST(ShardSelect, SingleShardKeepsEverything) {
   const std::vector<MachineSpec> configs = sweep_configs({1, 2, 4});
-  const serve::ShardSelection sel =
-      serve::select_shard(configs, "fft", ProblemScale::Test, {0, 1});
+  const ShardSelection sel =
+      select_shard(configs, "fft", ProblemScale::Test, {0, 1});
   EXPECT_EQ(sel.indices.size(), configs.size());
 }
 
@@ -153,10 +157,10 @@ TEST(ShardSelect, EmptyShardIsValid) {
   const std::vector<MachineSpec> configs = sweep_configs({4});
   const std::uint64_t d =
       obs::config_digest(configs[0], "fft", ProblemScale::Test);
-  const unsigned owner = serve::shard_of(d, 7);
+  const unsigned owner = shard_of(d, 7);
   for (unsigned k = 0; k < 7; ++k) {
-    const serve::ShardSelection sel =
-        serve::select_shard(configs, "fft", ProblemScale::Test, {k, 7});
+    const ShardSelection sel =
+        select_shard(configs, "fft", ProblemScale::Test, {k, 7});
     EXPECT_EQ(sel.indices.size(), k == owner ? 1u : 0u);
     EXPECT_EQ(sel.rows_total, 1u);
   }
@@ -177,7 +181,7 @@ ShardManifest sample_manifest() {
 TEST(ShardManifestCodec, RoundTrips) {
   const ShardManifest m = sample_manifest();
   const ShardManifest back =
-      serve::parse_shard_manifest(serve::write_shard_manifest(m), "mem");
+      parse_shard_manifest(write_shard_manifest(m), "mem");
   EXPECT_EQ(back.shard.index, m.shard.index);
   EXPECT_EQ(back.shard.count, m.shard.count);
   EXPECT_EQ(back.rows_total, m.rows_total);
@@ -191,13 +195,27 @@ TEST(ShardManifestCodec, RoundTrips) {
 }
 
 TEST(ShardManifestCodec, RejectsWrongSchemaAndGarbage) {
-  EXPECT_THROW((void)serve::parse_shard_manifest("not json", "mem"),
+  EXPECT_THROW((void)parse_shard_manifest("not json", "mem"), ConfigError);
+  EXPECT_THROW((void)parse_shard_manifest("{\"schema\": \"x\"}", "mem"),
                ConfigError);
-  EXPECT_THROW((void)serve::parse_shard_manifest("{\"schema\": \"x\"}", "mem"),
-               ConfigError);
-  std::string doc = serve::write_shard_manifest(sample_manifest());
+  std::string doc = write_shard_manifest(sample_manifest());
   doc.replace(doc.find("csim.shard/1"), 12, "csim.shard/9");
-  EXPECT_THROW((void)serve::parse_shard_manifest(doc, "mem"), ConfigError);
+  EXPECT_THROW((void)parse_shard_manifest(doc, "mem"), ConfigError);
+}
+
+TEST(ShardManifestCodec, RejectsIntegersBeyondDoublePrecision) {
+  // Each field is cast to an integer type; 1e30 fits none of them.
+  const std::string doc = write_shard_manifest(sample_manifest());
+  for (const auto& [field, big] :
+       {std::pair{"\"rows_total\": 5", "\"rows_total\": 1e30"},
+        std::pair{"{\"index\": 0,", "{\"index\": 1e30,"},
+        std::pair{"\"csv_line\": 0}", "\"csv_line\": 1e30}"}}) {
+    std::string bad = doc;
+    const std::size_t at = bad.find(field);
+    ASSERT_NE(at, std::string::npos) << field;
+    bad.replace(at, std::string_view(field).size(), big);
+    EXPECT_THROW((void)parse_shard_manifest(bad, "mem"), ConfigError) << big;
+  }
 }
 
 // --- merge ------------------------------------------------------------------
@@ -224,7 +242,7 @@ std::vector<ShardManifest> two_shards() {
 }
 
 TEST(ShardMerge, ReassemblesGlobalOrder) {
-  const std::string merged = serve::merge_shard_csvs(
+  const std::string merged = merge_shard_csvs(
       two_shards(), {"h\nrow0\nrow2\n", "h\nrow1\n"});
   EXPECT_EQ(merged, "h\nrow0\nrow1\nrow2\n");
 }
@@ -233,7 +251,7 @@ TEST(ShardMerge, SkipsFailedRowsLikeWriteCsv) {
   std::vector<ShardManifest> shards = two_shards();
   shards[1].rows[0].csv_line = -1;  // row 1 failed on shard 1
   const std::string merged =
-      serve::merge_shard_csvs(shards, {"h\nrow0\nrow2\n", "h\n"});
+      merge_shard_csvs(shards, {"h\nrow0\nrow2\n", "h\n"});
   EXPECT_EQ(merged, "h\nrow0\nrow2\n");
 }
 
@@ -241,18 +259,18 @@ TEST(ShardMerge, RejectsDuplicateShard) {
   std::vector<ShardManifest> shards = two_shards();
   shards[1] = shards[0];
   EXPECT_THROW(
-      (void)serve::merge_shard_csvs(shards, {"h\nrow0\nrow2\n", "h\nrow0\nrow2\n"}),
+      (void)merge_shard_csvs(shards, {"h\nrow0\nrow2\n", "h\nrow0\nrow2\n"}),
       ConfigError);
 }
 
 TEST(ShardMerge, RejectsMissingShard) {
   std::vector<ShardManifest> shards = {two_shards()[0]};
-  EXPECT_THROW((void)serve::merge_shard_csvs(shards, {"h\nrow0\nrow2\n"}),
+  EXPECT_THROW((void)merge_shard_csvs(shards, {"h\nrow0\nrow2\n"}),
                ConfigError);
 }
 
 TEST(ShardMerge, RejectsHeaderMismatch) {
-  EXPECT_THROW((void)serve::merge_shard_csvs(
+  EXPECT_THROW((void)merge_shard_csvs(
                    two_shards(), {"h\nrow0\nrow2\n", "DIFFERENT\nrow1\n"}),
                ConfigError);
 }
@@ -261,7 +279,7 @@ TEST(ShardMerge, RejectsDigestInWrongShard) {
   std::vector<ShardManifest> shards = two_shards();
   shards[1].rows[0].digest = kEven1 + 2;  // even: belongs to shard 0
   EXPECT_THROW(
-      (void)serve::merge_shard_csvs(shards, {"h\nrow0\nrow2\n", "h\nrow1\n"}),
+      (void)merge_shard_csvs(shards, {"h\nrow0\nrow2\n", "h\nrow1\n"}),
       ConfigError);
 }
 
@@ -269,7 +287,7 @@ TEST(ShardMerge, RejectsOverlappingDigest) {
   std::vector<ShardManifest> shards = two_shards();
   shards[0].rows[1].digest = kEven1;  // same digest twice in shard 0
   EXPECT_THROW(
-      (void)serve::merge_shard_csvs(shards, {"h\nrow0\nrow2\n", "h\nrow1\n"}),
+      (void)merge_shard_csvs(shards, {"h\nrow0\nrow2\n", "h\nrow1\n"}),
       ConfigError);
 }
 
@@ -277,7 +295,7 @@ TEST(ShardMerge, RejectsRowIndexClaimedTwice) {
   std::vector<ShardManifest> shards = two_shards();
   shards[1].rows[0].index = 0;  // shard 0 already owns global row 0
   EXPECT_THROW(
-      (void)serve::merge_shard_csvs(shards, {"h\nrow0\nrow2\n", "h\nrow1\n"}),
+      (void)merge_shard_csvs(shards, {"h\nrow0\nrow2\n", "h\nrow1\n"}),
       ConfigError);
 }
 
@@ -286,20 +304,37 @@ TEST(ShardMerge, RejectsUncoveredRowIndex) {
   shards[0].rows_total = 4;
   shards[1].rows_total = 4;  // row 3 exists but no shard claims it
   EXPECT_THROW(
-      (void)serve::merge_shard_csvs(shards, {"h\nrow0\nrow2\n", "h\nrow1\n"}),
+      (void)merge_shard_csvs(shards, {"h\nrow0\nrow2\n", "h\nrow1\n"}),
       ConfigError);
+}
+
+TEST(ShardMerge, RejectsRowsTotalOtherThanTheRowsListed) {
+  // Checked before rows_total sizes anything, whichever side is larger.
+  for (const std::size_t rows_total : {std::size_t{2}, std::size_t{4}}) {
+    std::vector<ShardManifest> shards = two_shards();
+    for (ShardManifest& m : shards) m.rows_total = rows_total;
+    try {
+      (void)merge_shard_csvs(shards, {"h\nrow0\nrow2\n", "h\nrow1\n"});
+      ADD_FAILURE() << "rows_total " << rows_total << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("list 3 rows but rows_total is " +
+                                           std::to_string(rows_total)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ShardMerge, RejectsBadCsvLineReferences) {
   std::vector<ShardManifest> shards = two_shards();
   shards[0].rows[1].csv_line = 7;  // beyond the CSV's data lines
   EXPECT_THROW(
-      (void)serve::merge_shard_csvs(shards, {"h\nrow0\nrow2\n", "h\nrow1\n"}),
+      (void)merge_shard_csvs(shards, {"h\nrow0\nrow2\n", "h\nrow1\n"}),
       ConfigError);
   shards = two_shards();
   shards[0].rows[1].csv_line = 0;  // line 0 referenced twice, line 1 orphaned
   EXPECT_THROW(
-      (void)serve::merge_shard_csvs(shards, {"h\nrow0\nrow2\n", "h\nrow1\n"}),
+      (void)merge_shard_csvs(shards, {"h\nrow0\nrow2\n", "h\nrow1\n"}),
       ConfigError);
 }
 
@@ -311,7 +346,7 @@ TEST(ShardMerge, ThreeWayShardMergeIsByteExact) {
   // and demand the bytes of the unsharded CSV. The runs share a journal —
   // that is what makes even the host-timing columns (wall_seconds,
   // sim_refs_per_sec) bit-exact across processes; the deterministic columns
-  // need no help (docs/SERVICE.md).
+  // need no help (docs/ROBUSTNESS.md §7).
   const TempDir tmp("merge_e2e");
   SweepRequest base;
   base.make_app = [] { return make_app("fft", ProblemScale::Test); };
@@ -327,8 +362,8 @@ TEST(ShardMerge, ThreeWayShardMergeIsByteExact) {
   std::vector<ShardManifest> manifests;
   std::vector<std::string> csvs;
   for (unsigned k = 0; k < 3; ++k) {
-    const serve::ShardSelection sel = serve::select_shard(
-        base.configs, "fft", ProblemScale::Test, {k, 3});
+    const ShardSelection sel =
+        select_shard(base.configs, "fft", ProblemScale::Test, {k, 3});
     SweepRequest req;
     req.make_app = base.make_app;
     for (std::size_t i : sel.indices) req.configs.push_back(base.configs[i]);
@@ -349,7 +384,7 @@ TEST(ShardMerge, ThreeWayShardMergeIsByteExact) {
     manifests.push_back(std::move(m));
     csvs.push_back(csv.str());
   }
-  EXPECT_EQ(serve::merge_shard_csvs(manifests, csvs), golden_csv.str());
+  EXPECT_EQ(merge_shard_csvs(manifests, csvs), golden_csv.str());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // csim_merge: recombine per-shard sweep artifacts into the CSV an unsharded
-// run would have produced, bit for bit (docs/SERVICE.md).
+// run would have produced, bit for bit (docs/ROBUSTNESS.md §7).
 //
 //   csim_cli --app fft --shard 0/3 --shard-out s0 --csv > /dev/null
 //   csim_cli --app fft --shard 1/3 --shard-out s1 --csv > /dev/null
@@ -20,7 +20,7 @@
 
 #include "src/core/atomic_file.hpp"
 #include "src/core/error.hpp"
-#include "src/report/service.hpp"
+#include "src/report/shard.hpp"
 
 namespace {
 
@@ -70,11 +70,10 @@ int main(int argc, char** argv) {
   }
 
   try {
-    std::vector<serve::ShardManifest> shards;
+    std::vector<ShardManifest> shards;
     std::vector<std::string> csvs;
     for (const std::string& path : manifest_paths) {
-      serve::ShardManifest m = serve::parse_shard_manifest(read_file(path),
-                                                           path);
+      ShardManifest m = parse_shard_manifest(read_file(path), path);
       // The CSV artifact travels next to its manifest; an absolute csv_path
       // (unusual, but valid) is used as-is.
       const std::filesystem::path csv =
@@ -82,11 +81,11 @@ int main(int argc, char** argv) {
       csvs.push_back(read_file(csv.string()));
       shards.push_back(std::move(m));
     }
-    const std::string merged = serve::merge_shard_csvs(shards, csvs);
+    const std::string merged = merge_shard_csvs(shards, csvs);
     atomic_write_file(out_path, merged);
     std::size_t rows = 0;
-    for (const serve::ShardManifest& m : shards) {
-      for (const serve::ShardRowRef& r : m.rows) rows += r.csv_line >= 0;
+    for (const ShardManifest& m : shards) {
+      for (const ShardRowRef& r : m.rows) rows += r.csv_line >= 0;
     }
     std::printf("csim_merge: %zu shards, %zu rows -> %s\n", shards.size(),
                 rows, out_path.c_str());
