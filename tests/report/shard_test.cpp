@@ -69,8 +69,7 @@ TEST(ShardSpecParse, RejectsMalformedSpecs) {
   EXPECT_THROW((void)cli::parse_shard("-1/2"), ConfigError);  // negative
   EXPECT_THROW((void)cli::parse_shard("0/9999"), ConfigError);  // > 4096
   EXPECT_THROW((void)cli::parse_shard(""), ConfigError);
-  // Digits only, as for every other numeric flag: strtoul would skip the
-  // leading whitespace and accept the sign.
+  // Digits only, as for every other numeric flag: no sign, no whitespace.
   for (const char* bad : {" 1/2", "+1/2", "1/ 2", "1/+2", "0/ 3", "\t0/2"}) {
     EXPECT_THROW((void)cli::parse_shard(bad), ConfigError) << bad;
   }
