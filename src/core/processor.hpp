@@ -23,7 +23,6 @@
 #include <bit>
 #include <coroutine>
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "src/core/machine.hpp"
@@ -70,7 +69,7 @@ class Proc : public EventQueue::Resumable {
       gen_ = coh.generation_addr(cluster_);
       touch_cache_ = coh.touch_cache(id_);
     }
-    detail_table_.line_shift =
+    table_.line_shift =
         static_cast<unsigned>(std::countr_zero(cfg.cache.line_bytes));
     if (cfg.model_shared_hit_costs && cfg.procs_per_cluster > 1) {
       const unsigned n = cfg.procs_per_cluster;
@@ -198,17 +197,8 @@ class Proc : public EventQueue::Resumable {
 
   /// Attaches the interval-sampling controller (src/core/sampling.hpp). Null
   /// (the default) keeps every access on the unsampled hot path — a single
-  /// branch per operation. Sampled runs also get the enlarged warming-only
-  /// hit table; unsampled runs never pay for its memory.
-  void set_sampling(SamplingController* s) {
-    sampling_ = s;
-    if (s != nullptr && gen_ != nullptr && warm_table_ == nullptr) {
-      // Default-initialized: the entries' member initializers are the only
-      // pass over the table's memory.
-      warm_table_ = std::make_unique_for_overwrite<HitTable<kWarmSlots>>();
-      warm_table_->line_shift = detail_table_.line_shift;
-    }
-  }
+  /// branch per operation.
+  void set_sampling(SamplingController* s) noexcept { sampling_ = s; }
 
   /// Schedules `h` to resume at absolute time `t` (with a fresh slice).
   void schedule_resume(Cycles t, std::coroutine_handle<> h);
@@ -235,35 +225,39 @@ class Proc : public EventQueue::Resumable {
  private:
   /// Generation-tagged hit filter table (docs/PERFORMANCE.md): a
   /// direct-mapped set of lines this processor recently hit, each entry valid
-  /// while its cluster's generation counter (MemorySystem::generation_addr)
-  /// still reads the value recorded with it. The memory system bumps the
-  /// counter only on events that could invalidate a hint in *this* cluster,
-  /// so — unlike a global epoch — entries survive across event-queue slices
-  /// while other clusters run.
-  template <std::size_t Slots>
+  /// while the line's generation counter in its cluster
+  /// (MemorySystem::generation_addr) still reads the value recorded with it.
+  /// The memory system bumps a line's counter only on events that could
+  /// invalidate a hint for that line in *this* cluster, so entries survive
+  /// other lines' evictions and, across event-queue slices, other clusters'
+  /// runs. At 512 slots the up to kMaxRunOps streams of a run (Ocean's
+  /// stencils use all 20) rarely collide.
   struct HitTable {
-    static_assert(std::has_single_bit(Slots), "slot count: a power of two");
+    static constexpr std::size_t kSlots = 512;
+    /// 16 bytes: the writable bit shares a word with a 63-bit generation,
+    /// since a line address has no spare bit when lines are one byte.
     struct Entry {
-      Addr line = ~Addr{0};  // never line-aligned: matches no real line
-      std::uint64_t gen = 0;
-      bool writable = false;
+      Addr line = ~Addr{0};  // past every allocation: matches no line
+      std::uint64_t tag = 0;  // generation * 2 + writable
     };
     unsigned line_shift = 0;
-    std::array<Entry, Slots> entries;
+    std::array<Entry, kSlots> entries;
 
     [[nodiscard]] Entry& slot(Addr line) noexcept {
-      return entries[(line >> line_shift) & (Slots - 1)];
+      return entries[(line >> line_shift) & (kSlots - 1)];
     }
-    /// True if a read (or, with `write`, a store) to `line` is a repeat hit
-    /// the memory system promised to serve as a plain Hit.
+    /// True if a read (or, with `write`, a store) to `line`, whose counter
+    /// reads `gen`, is a repeat hit the memory system promised to serve as a
+    /// plain Hit.
     [[nodiscard]] bool hit(Addr line, std::uint64_t gen, bool write) noexcept {
       const Entry& e = slot(line);
-      return e.line == line && (!write || e.writable) && e.gen == gen;
+      return e.line == line &&
+             (e.tag | std::uint64_t{!write}) == (gen << 1 | 1);
     }
     /// Records the hint of a memory-system access to `line`.
     void remember(Addr line, std::uint64_t gen, MruHint hint) noexcept {
       if (hint != MruHint::None) {
-        slot(line) = Entry{line, gen, hint == MruHint::ReadWrite};
+        slot(line) = Entry{line, gen << 1 | (hint == MruHint::ReadWrite)};
       }
     }
   };
@@ -286,12 +280,10 @@ class Proc : public EventQueue::Resumable {
 
   /// The one memory access behind every filtered path, followed by
   /// `repeats` further hits to the same line (batched warming). A repeat
-  /// hit in `table` bypasses the memory system and returns nullopt, a plain
-  /// hit; anything else calls it, records the hint and returns its result.
-  /// `table` is dereferenced only when the filter is on (gen_ != nullptr).
-  template <std::size_t Slots>
-  std::optional<AccessResult> filtered_access(HitTable<Slots>* table, Addr a,
-                                              bool write,
+  /// hit in the table bypasses the memory system and returns nullopt, a
+  /// plain hit; anything else calls it, records the hint and returns its
+  /// result.
+  std::optional<AccessResult> filtered_access(Addr a, bool write,
                                               std::uint64_t repeats);
   /// Mirrors `n` hits to `line` that bypassed the memory system: its hit
   /// counters, and (for bounded LRU caches) one most-recently-used
@@ -359,20 +351,13 @@ class Proc : public EventQueue::Resumable {
 
   // Hit filter: repeat hits bypass the virtual access call and its protocol
   // branches (filtered_access). Disabled (gen_ == nullptr) when the memory
-  // system must observe every access.
+  // system must observe every access. Detailed accesses, per-reference
+  // warming and batched warming share the one table.
   MissCounters* hot_ = nullptr;
-  const std::uint64_t* gen_ = nullptr;  // null disables the filter
+  // The cluster's kHintGenerations counters; null disables the filter.
+  const std::uint64_t* gen_ = nullptr;
   CacheStorage* touch_cache_ = nullptr;  // LRU to touch per filtered hit
-  static constexpr std::size_t kDetailSlots = 8;  // covers Ocean's 6 streams
-  HitTable<kDetailSlots> detail_table_;
-  // Functional warming consults the same table type at a larger size:
-  // warming retires the whole reference stream, so repeat-pass hits dominate
-  // and 8 slots thrash (measured ~31% of warming references fell through to
-  // full protocol calls). Kept separate from detail_table_ so the detailed
-  // path's footprint and speed are untouched. Allocated only when sampling
-  // is attached and the filter is on (set_sampling).
-  static constexpr std::size_t kWarmSlots = 8192;
-  std::unique_ptr<HitTable<kWarmSlots>> warm_table_;
+  HitTable table_;
 
   RunState run_{};
 

@@ -135,7 +135,7 @@ void ClusteredMemorySystem::install_private(ProcId p, Addr line,
                                             LineState st) {
   if (const auto victim = caches_[p]->insert(line, st)) {
     const ClusterId c = cfg_.cluster_of(p);
-    ++gen_[c];  // kill hook: any hint for the victim line is dead
+    kill_hint(c, victim->line);  // the victim's hints die
     ++counters_[c].evictions;
     // The victim falls back to the (infinite) attraction memory: the line
     // stays in the cluster, so no directory replacement hint is sent.
@@ -147,7 +147,7 @@ void ClusteredMemorySystem::install_private(ProcId p, Addr line,
 
 void ClusteredMemorySystem::share_copies(ClusterId c, Addr line,
                                          std::uint64_t copies) {
-  ++gen_[c];  // kill hook: writable hints for these copies die
+  kill_hint(c, line);  // writable hints for these copies die
   for_each_copy(c, copies, [line](CacheStorage& cache) {
     cache.set_state(line, LineState::Shared);
   });
@@ -155,7 +155,7 @@ void ClusteredMemorySystem::share_copies(ClusterId c, Addr line,
 
 void ClusteredMemorySystem::erase_copies(ClusterId c, Addr line,
                                          std::uint64_t copies) {
-  ++gen_[c];  // kill hook: these copies are going away
+  kill_hint(c, line);  // these copies are going away
   MissCounters& ctr = counters_[c];
   for_each_copy(c, copies, [&](CacheStorage& cache) {
     cache.erase(line);

@@ -65,7 +65,7 @@ void CoherenceController::audit() const {
 void CoherenceController::install(ProcId p, Addr line, LineState st) {
   const ClusterId c = cfg_.cluster_of(p);
   if (const auto victim = caches_[c]->insert(line, st)) {
-    ++gen_[c];  // replacement: any hint for the victim line is dead
+    kill_hint(c, victim->line);  // replacement: the victim's hints die
     ++counters_[c].evictions;
     dir_.replacement_hint(victim->line, c);
     // A pending fill whose line was replaced before use is simply dropped;
@@ -75,12 +75,12 @@ void CoherenceController::install(ProcId p, Addr line, LineState st) {
 }
 
 void CoherenceController::demote(ClusterId o, Addr line) {
-  ++gen_[o];  // kill hook: the owner's writable hint dies with the downgrade
+  kill_hint(o, line);  // the owner's writable hints die with the downgrade
   caches_[o]->set_state(line, LineState::Shared);
 }
 
 bool CoherenceController::drop(ClusterId x, Addr line) {
-  ++gen_[x];  // kill hook: cluster x's copy is going away
+  kill_hint(x, line);  // cluster x's copy is going away
   if (!caches_[x]->erase(line)) return false;
   ++counters_[x].invalidations;
   // Kill any in-flight fill: the data will arrive but must not be used by

@@ -1,6 +1,7 @@
 #include "src/mem/directory_memory.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 
 #include "src/core/error.hpp"
@@ -18,6 +19,8 @@ DirectoryMemory::DirectoryMemory(std::shared_ptr<const MachineSpec> spec,
       procs_per_cache_(style == ClusterStyle::SharedCache
                            ? cfg_.procs_per_cluster
                            : 1),
+      line_shift_(static_cast<unsigned>(
+          std::countr_zero(cfg_.cache.line_bytes))),
       homes_(as, cfg_) {
   if (cfg_.contention.enabled) {
     contention_ = std::make_unique<ContentionModel>(cfg_);
@@ -34,7 +37,7 @@ DirectoryMemory::DirectoryMemory(std::shared_ptr<const MachineSpec> spec,
   const unsigned nc = cfg_.num_clusters();
   mshrs_.resize(nc);
   counters_.resize(nc);
-  gen_.resize(nc, 0);
+  gen_.resize(std::size_t{nc} * kHintGenerations, 0);
   // Size the directory, cold-line set, and infinite caches to the
   // application's allocated footprint so steady-state operation never
   // rehashes.

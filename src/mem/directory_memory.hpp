@@ -53,16 +53,17 @@ class DirectoryMemory : public MemorySystem {
   }
   [[nodiscard]] MissCounters totals() const override;
 
-  /// Per-cluster hit-filter generation (docs/PERFORMANCE.md): bumped by every
-  /// event that takes a line away from, or downgrades it in, a cache of the
-  /// cluster — invalidations, evictions, owner demotions and, for private
+  /// Cluster `c`'s kHintGenerations hit-filter generations
+  /// (docs/PERFORMANCE.md). kill_hint() bumps a line's counter on every
+  /// event that takes the line away from, or downgrades it in, a cache of
+  /// the cluster: invalidations, evictions, owner demotions and, for private
   /// caches, bus invalidations and snoop demotions. A hint can only go stale
-  /// through one of those events (a fill for a hinted line would require the
-  /// line to have left the cache first), so no per-access bump is needed;
-  /// LRU exactness is the processor's job via touch_cache().
+  /// through one of those events for its own line (a fill for a hinted line
+  /// would require the line to have left the cache first), so no per-access
+  /// bump is needed; LRU exactness is the processor's job via touch_cache().
   [[nodiscard]] const std::uint64_t* generation_addr(
       ClusterId c) const noexcept override {
-    return &gen_[c];
+    return &gen_[std::size_t{c} * kHintGenerations];
   }
 
   /// Bounded caches are LRU: the processor must touch the line on every
@@ -203,6 +204,7 @@ class DirectoryMemory : public MemorySystem {
   const MachineSpec& cfg_;                   // = *spec_
   const ClusterStyle style_;
   const unsigned procs_per_cache_;  // ppc for a shared cache, 1 for private
+  const unsigned line_shift_;       // log2(line_bytes)
   bool functional_ = false;  // warming regime: timing-only work skipped
   std::unique_ptr<ContentionModel> contention_;  // null unless enabled
   AddressSpace::HomeMap homes_;
@@ -210,8 +212,16 @@ class DirectoryMemory : public MemorySystem {
   std::vector<std::unique_ptr<CacheStorage>> caches_;  // per cluster or proc
   std::vector<MshrTable> mshrs_;                       // one per cluster
   std::vector<MissCounters> counters_;                 // one per cluster
-  std::vector<std::uint64_t> gen_;  // per-cluster hit-filter generations
-  FlatSet touched_lines_;           // cold-miss tracking
+  std::vector<std::uint64_t> gen_;  // kHintGenerations per cluster
+
+  /// Kills every processor's hit-filter hint for `line` in cluster `c`
+  /// (and, conservatively, those for the lines that share its counter).
+  void kill_hint(ClusterId c, Addr line) noexcept {
+    ++gen_[std::size_t{c} * kHintGenerations +
+           hint_generation(line, line_shift_)];
+  }
+
+  FlatSet touched_lines_;  // cold-miss tracking
 
  private:
   Cycles queue_port(ClusterId c, Addr line, Cycles now);

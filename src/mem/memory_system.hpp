@@ -23,13 +23,24 @@ class CacheStorage;
 class Observer;
 struct WarmState;
 
+/// Hit-filter generation counters per cluster (MemorySystem::generation_addr).
+inline constexpr std::size_t kHintGenerations = 64;
+
+/// Index of the counter, among its cluster's kHintGenerations, that guards
+/// hints for `line` (a line address; `line_shift` is log2 of the line size).
+[[nodiscard]] constexpr std::size_t hint_generation(Addr line,
+                                                    unsigned line_shift) {
+  return static_cast<std::size_t>(line >> line_shift) &
+         (kHintGenerations - 1);
+}
+
 /// Repeat-access eligibility of a Hit, used by the processor's
 /// generation-tagged hit filter (docs/PERFORMANCE.md). The memory system
-/// promises that, as long as the hinted cluster's generation counter is
-/// unchanged, another access to the same line by the same processor would be
-/// a plain Hit with exactly the same counter updates — so the processor may
-/// short-circuit it, provided it also performs the LRU touch the slow path
-/// would have (touch_cache()).
+/// promises that, as long as the line's generation counter in the hinted
+/// cluster is unchanged, another access to the same line by the same
+/// processor would be a plain Hit with exactly the same counter updates — so
+/// the processor may short-circuit it, provided it also performs the LRU
+/// touch the slow path would have (touch_cache()).
 enum class MruHint : std::uint8_t {
   None,       ///< not eligible (miss, merge, pending fill, …)
   ReadOnly,   ///< repeat reads are plain hits (line SHARED)
@@ -81,16 +92,19 @@ class MemorySystem {
 
   // --- Processor hit-filter fast-path support (docs/PERFORMANCE.md) --------
 
-  /// Address of cluster `c`'s hit-filter generation counter, stable for this
-  /// memory system's lifetime, or nullptr (the default) when the filter must
-  /// stay disabled for that cluster. A participating memory system bumps the
-  /// counter on every event that could invalidate a processor's cached hint
-  /// for a line of that cluster — invalidations, evictions/replacements,
-  /// downgrades — and, when the contention model is on with bounded caches
-  /// (where a slow-path hit also occupies the bank/bus port), every slow-path
-  /// access the cluster itself performs. Unrelated clusters' accesses leave
-  /// it alone, so hints survive across event-queue slices in interleaved
-  /// runs.
+  /// Address of cluster `c`'s kHintGenerations hit-filter generation
+  /// counters, stable for this memory system's lifetime, or nullptr (the
+  /// default) when the filter must stay disabled for that cluster. Hints for
+  /// a line are guarded by the counter at hint_generation(line, line_shift).
+  /// A participating memory system bumps a line's counter on every event
+  /// that could invalidate a processor's hint for that line in the cluster:
+  /// invalidations, evictions and replacements, downgrades. No access bumps
+  /// a counter merely by happening. Where a repeat hit must still be seen by
+  /// the memory system (a shared-cache bank queue under the contention
+  /// model) it disables the filter through hot_counters() instead. A bump
+  /// for one line leaves hints under the cluster's other counters alive, and
+  /// other clusters' events leave all of them alone, so hints survive across
+  /// event-queue slices in interleaved runs.
   [[nodiscard]] virtual const std::uint64_t* generation_addr(
       ClusterId) const noexcept {
     return nullptr;
@@ -99,9 +113,11 @@ class MemorySystem {
   /// Cache the processor must LRU-touch on each filtered hit for `p`'s
   /// accesses, or nullptr (the default) when no touch is needed. Bounded LRU
   /// caches need the touch — a skipped one would be observable in eviction
-  /// order — so without it the memory system must instead kill hints on every
-  /// slow-path access of the cluster (see generation_addr). Infinite caches
-  /// have no replacement order to maintain and return nullptr.
+  /// order. A memory system that returns nullptr for a bounded cache must
+  /// instead bump all of the cluster's counters on every slow-path access,
+  /// so that a filtered hit only ever finds its line still most recently
+  /// used. Infinite caches have no replacement order to maintain and return
+  /// nullptr.
   [[nodiscard]] virtual CacheStorage* touch_cache(ProcId) noexcept {
     return nullptr;
   }

@@ -2,18 +2,21 @@
 // pure fast path: short-circuiting a repeat hit must produce bit-identical
 // results to routing every access through the memory system. These tests
 // prove that by running the same program twice — once normally (filter
-// eligible) and once through a forwarding decorator whose default
-// generation_addr()/hot_counters() return nullptr, which disables the filter
-// — and comparing obs::result_digest over every counter and bucket.
+// eligible) and once through a forwarding decorator whose hit-filter hooks
+// return nullptr, which disables the filter — and comparing
+// obs::result_digest over every counter and bucket.
 //
 // Every app is covered in both organizations, both contention modes, and
-// with fully associative and direct-mapped caches. Under contention the
-// shared-cache organization disables the fast path itself (port queues must
-// observe every access), while the shared-memory organization keeps it;
-// either way the digests must match.
+// with fully associative and direct-mapped caches of 16 KB per processor.
+// Under contention the shared-cache organization disables the fast path
+// itself (port queues must observe every access), while the shared-memory
+// organization keeps it; either way the digests must match. A 1 KB column
+// (no contention) evicts lines that still hold live hints, so each of the
+// memory system's hint kills is needed there for the digests to match.
 //
 // Sampled runs are pinned separately (SampledDigests): both columns, filtered
-// and unfiltered, against a committed fixture.
+// and unfiltered, against a committed fixture. HitFilterReach pins how many
+// references the filter keeps away from the memory system.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -31,18 +34,22 @@
 namespace csim {
 namespace {
 
-/// Forwards every access to the real memory system for the configuration but
-/// inherits the MemorySystem defaults for generation_addr()/hot_counters(),
-/// so processors never engage the hit filter.
-class FilterOffMemory final : public MemorySystem {
+/// Forwards every access to the real memory system for the configuration
+/// and counts the reads and writes that reach it. Without `filter` it keeps
+/// the MemorySystem defaults for the hit-filter hooks, so processors never
+/// engage the filter; with `filter` it forwards those hooks too, so
+/// processors filter exactly as in a plain run.
+class ForwardingMemory final : public MemorySystem {
  public:
-  FilterOffMemory(std::shared_ptr<const MachineSpec> spec,
-                  const AddressSpace& as)
-      : inner_(make_memory_system(std::move(spec), as)) {}
+  ForwardingMemory(std::shared_ptr<const MachineSpec> spec,
+                   const AddressSpace& as, bool filter)
+      : inner_(make_memory_system(std::move(spec), as)), filter_(filter) {}
   AccessResult read(ProcId p, Addr a, Cycles now) override {
+    ++calls;
     return inner_->read(p, a, now);
   }
   AccessResult write(ProcId p, Addr a, Cycles now) override {
+    ++calls;
     return inner_->write(p, a, now);
   }
   const MissCounters& cluster_counters(ClusterId c) const override {
@@ -51,20 +58,33 @@ class FilterOffMemory final : public MemorySystem {
   MissCounters totals() const override { return inner_->totals(); }
   void audit() const override { inner_->audit(); }
   void set_functional(bool on) override { inner_->set_functional(on); }
+  const std::uint64_t* generation_addr(ClusterId c) const noexcept override {
+    return filter_ ? inner_->generation_addr(c) : nullptr;
+  }
+  CacheStorage* touch_cache(ProcId p) noexcept override {
+    return filter_ ? inner_->touch_cache(p) : nullptr;
+  }
+  MissCounters* hot_counters(ClusterId c) noexcept override {
+    return filter_ ? inner_->hot_counters(c) : nullptr;
+  }
+
+  std::uint64_t calls = 0;
 
  private:
   std::unique_ptr<MemorySystem> inner_;
+  bool filter_;
 };
 
 /// `assoc` 0 is fully associative (the paper's caches), 1 direct-mapped.
-MachineSpec config(ClusterStyle style, bool contention, unsigned assoc) {
+MachineSpec config(ClusterStyle style, bool contention, unsigned assoc,
+                   unsigned cache_kb) {
   ContentionSpec spec;
   spec.enabled = contention;
   return MachineSpecBuilder{}
       .procs(64)
       .procs_per_cluster(8)
       .style(style)
-      .cache_kb(16)
+      .cache_kb(cache_kb)
       .associativity(assoc)
       .contention(spec)
       .build();
@@ -86,17 +106,18 @@ std::uint64_t digest_without_filter(const std::string& app,
   AddressSpace as;
   prog->setup(as, cfg);
   Simulator sim(cfg);
-  FilterOffMemory mem(sim.spec(), as);
+  ForwardingMemory mem(sim.spec(), as, /*filter=*/false);
   return obs::result_digest(sim.run(*prog, &mem));
 }
 
-using FilterParam = std::tuple<ClusterStyle, bool, unsigned>;
+/// Organization, contention, associativity, KB per processor.
+using FilterParam = std::tuple<ClusterStyle, bool, unsigned, unsigned>;
 
 class HitFilterEquivalence : public ::testing::TestWithParam<FilterParam> {};
 
 TEST_P(HitFilterEquivalence, FilteredRunMatchesUnfilteredRun) {
-  const auto [style, contention, assoc] = GetParam();
-  const MachineSpec cfg = config(style, contention, assoc);
+  const auto [style, contention, assoc, cache_kb] = GetParam();
+  const MachineSpec cfg = config(style, contention, assoc, cache_kb);
   for (const std::string& app : app_names()) {
     EXPECT_EQ(digest_with_filter(app, cfg), digest_without_filter(app, cfg))
         << app;
@@ -104,33 +125,69 @@ TEST_P(HitFilterEquivalence, FilteredRunMatchesUnfilteredRun) {
 }
 
 TEST_P(HitFilterEquivalence, FilteredRunIsDeterministic) {
-  const auto [style, contention, assoc] = GetParam();
-  const MachineSpec cfg = config(style, contention, assoc);
+  const auto [style, contention, assoc, cache_kb] = GetParam();
+  const MachineSpec cfg = config(style, contention, assoc, cache_kb);
   EXPECT_EQ(digest_with_filter("fft", cfg), digest_with_filter("fft", cfg));
 }
 
 // Fully associative rows keep their original names; direct-mapped rows
 // carry a "direct_mapped_" prefix.
+std::string filter_param_name(
+    const ::testing::TestParamInfo<FilterParam>& info) {
+  std::string name = std::get<2>(info.param) == 1 ? "direct_mapped_" : "";
+  name += std::get<0>(info.param) == ClusterStyle::SharedCache
+              ? "shared_cache"
+              : "shared_memory";
+  name += std::get<1>(info.param) ? "_contention" : "_no_contention";
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     BothOrgsBothContentionModes, HitFilterEquivalence,
     ::testing::Combine(::testing::Values(ClusterStyle::SharedCache,
                                          ClusterStyle::SharedMemory),
-                       ::testing::Bool(), ::testing::Values(0u, 1u)),
-    [](const ::testing::TestParamInfo<FilterParam>& info) {
-      std::string name =
-          std::get<2>(info.param) == 1 ? "direct_mapped_" : "";
-      name += std::get<0>(info.param) == ClusterStyle::SharedCache
-                  ? "shared_cache"
-                  : "shared_memory";
-      name += std::get<1>(info.param) ? "_contention" : "_no_contention";
-      return name;
-    });
+                       ::testing::Bool(), ::testing::Values(0u, 1u),
+                       ::testing::Values(16u)),
+    filter_param_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    OneKilobyteCaches, HitFilterEquivalence,
+    ::testing::Combine(::testing::Values(ClusterStyle::SharedCache,
+                                         ClusterStyle::SharedMemory),
+                       ::testing::Values(false), ::testing::Values(0u, 1u),
+                       ::testing::Values(1u)),
+    filter_param_name);
+
+// The filter's reach, counted instead of timed. Ocean's stencils keep up to
+// kMaxRunOps streams live and its clusters evict lines all the time, so a
+// filter that a stream's neighbours or an unrelated eviction can knock out
+// sends most of ocean's references to the memory system. With 64 counters
+// per cluster and a 512-slot table, ocean at Test scale (shared cache,
+// ppc 8, 16 KB per processor) calls the memory system for 38,168 of its
+// 120,624 references (32%); with one counter per cluster and 8 slots it
+// made 84,329 calls (70%).
+TEST(HitFilterReach, OceanCallsTheMemorySystemForFewOfItsReferences) {
+  constexpr double kMaxCallShare = 0.40;
+  const MachineSpec cfg = config(ClusterStyle::SharedCache, false, 0, 16);
+  auto prog = make_app("ocean", ProblemScale::Test);
+  AddressSpace as;
+  prog->setup(as, cfg);
+  Simulator sim(cfg);
+  ForwardingMemory mem(sim.spec(), as, /*filter=*/true);
+  const SimResult r = sim.run(*prog, &mem);
+  EXPECT_EQ(obs::result_digest(r), digest_with_filter("ocean", cfg))
+      << "the counting decorator changed the run";
+  const std::uint64_t refs = r.totals.reads + r.totals.writes;
+  EXPECT_LT(static_cast<double>(mem.calls),
+            kMaxCallShare * static_cast<double>(refs))
+      << mem.calls << " memory calls for " << refs << " references";
+}
 
 // Sampled runs, pinned bit for bit: all nine apps at Test scale, both
 // organizations, fully associative and direct-mapped 4 KB caches, 16 procs
 // in clusters of 4, sample(4096, 4096, 16384). Each row pins the filtered
-// run and the run through FilterOffMemory, which warms per reference with no
-// warm table (set_functional still reaches the real memory system).
+// run and the run through a filter-off ForwardingMemory, which warms per
+// reference (set_functional still reaches the real memory system).
 //
 // The two columns differ in ten rows: raytrace and volrend (both
 // organizations, both associativities), fmm shared_cache direct-mapped and

@@ -1,13 +1,14 @@
 // Protocol tests for the shared-main-memory cluster organization
 // (ClusteredMemorySystem): snoop transfers, attraction memory, bus
-// invalidations, ownership kept within the cluster, and the absence of
-// destructive interference.
+// invalidations, ownership kept within the cluster, the absence of
+// destructive interference, and the per-line hit-filter kills.
 #include "src/mem/clustered_memory.hpp"
 
 #include <gtest/gtest.h>
 
 #include "src/apps/app.hpp"
 #include "src/core/simulator.hpp"
+#include "tests/mem/hint_generations.hpp"
 
 namespace csim {
 namespace {
@@ -30,6 +31,9 @@ class ClusteredMemoryFixture : public ::testing::Test {
     cfg_.cache.per_proc_bytes = private_bytes;
     mem_ = std::make_unique<ClusteredMemorySystem>(
         std::make_shared<const MachineSpec>(cfg_), as_);
+  }
+  std::vector<std::uint64_t> generations() const {
+    return test::all_generations(*mem_, cfg_.num_clusters());
   }
 
   MachineSpec cfg_;
@@ -157,6 +161,33 @@ TEST_F(ClusteredMemoryFixture, NoDestructiveInterferenceBetweenPeers) {
   const auto h = mem_->read(0, page(0), t);
   EXPECT_EQ(h.kind, Kind::Hit)
       << "peer streaming must not displace another processor's private line";
+}
+
+// Per-line hit-filter generations (docs/PERFORMANCE.md §3): each kill bumps
+// the affected line's counter in the affected cluster and no other counter,
+// so a kill in one counter leaves hints under another alive.
+TEST_F(ClusteredMemoryFixture, PrivateEvictionKillsOnlyTheVictimsHints) {
+  make(64);  // one line per private cache
+  const Cycles t = mem_->read(0, page(0), 0).ready_at + 1;
+  const auto before = generations();
+  (void)mem_->read(0, page(0) + 64, t);  // page(0) falls back to attraction
+  test::expect_one_kill(before, generations(), 0, page(0));
+}
+
+TEST_F(ClusteredMemoryFixture, OwnerDemotionKillsOnlyItsHintsForTheLine) {
+  make();
+  const Cycles t = mem_->write(4, page(0), 0).ready_at + 1;  // cluster 1 owns
+  const auto before = generations();
+  (void)mem_->read(0, page(0), t);  // demotes cluster 1's copies
+  test::expect_one_kill(before, generations(), 1, page(0));
+}
+
+TEST_F(ClusteredMemoryFixture, RemoteInvalidationKillsOnlyThePurgedHints) {
+  make();
+  const Cycles t = mem_->read(0, page(0), 0).ready_at + 1;
+  const auto before = generations();
+  (void)mem_->write(4, page(0), t);  // purges cluster 0's copies
+  test::expect_one_kill(before, generations(), 0, page(0));
 }
 
 TEST_F(ClusteredMemoryFixture, WriteAllocateFromClusterMemoryIsHidden) {
