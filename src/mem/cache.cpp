@@ -1,6 +1,7 @@
 #include "src/mem/cache.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace csim {
@@ -14,13 +15,23 @@ CacheStorage::CacheStorage(std::size_t capacity_lines, unsigned associativity,
     num_sets_ = 0;  // infinite: no sets at all
   } else if (ways_ == 0) {
     num_sets_ = 1;  // fully associative
-    sets_.resize(1);
   } else {
     if (capacity_ % ways_ != 0) {
       throw std::invalid_argument("capacity not a multiple of associativity");
     }
     num_sets_ = capacity_ / ways_;
-    sets_.resize(num_sets_);
+  }
+  if (capacity_ != 0) {
+    if (num_sets_ + capacity_ > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::invalid_argument("cache of more than 2^32 lines");
+    }
+    // Line nodes are appended as the cache fills; reserving them up front
+    // keeps their storage in place and costs no pass over it.
+    nodes_.reserve(num_sets_ + capacity_);
+    for (std::uint32_t s = 0; s < num_sets_; ++s) {
+      nodes_.push_back(Node{0, s, s, LineState::Shared});
+    }
+    set_lines_.assign(num_sets_, 0);
   }
   // A bounded cache can never hold more than capacity_ lines: size the line
   // table once so steady-state operation never rehashes. (Extra headroom to
@@ -44,17 +55,13 @@ void CacheStorage::touch(Addr line) {
   if (capacity_ == 0) return;
   MapEntry* e = map_.find(line);
   if (e == nullptr) return;
-  auto& lru = sets_[set_index(line)];
-  lru.splice(lru.begin(), lru, e->it);
+  promote(set_index(line), e->node);
 }
 
 std::optional<LineState> CacheStorage::access(Addr line) {
   MapEntry* e = map_.find(line);
   if (e == nullptr) return std::nullopt;
-  if (capacity_ != 0) {
-    auto& lru = sets_[set_index(line)];
-    lru.splice(lru.begin(), lru, e->it);
-  }
+  if (capacity_ != 0) promote(set_index(line), e->node);
   return e->state;
 }
 
@@ -68,19 +75,31 @@ std::optional<Evicted> CacheStorage::insert(Addr line, LineState st) {
   if (map_.contains(line)) {
     throw std::logic_error("CacheStorage::insert of resident line");
   }
-  auto& lru = sets_[set_index(line)];
+  const unsigned set = set_index(line);
   std::optional<Evicted> victim;
+  std::uint32_t i;
   const std::size_t set_cap = (ways_ == 0) ? capacity_ : ways_;
-  if (lru.size() >= set_cap) {
-    const Node& v = lru.back();
-    victim = Evicted{v.line, v.state};
-    map_.erase(v.line);
-    lru.pop_back();
+  if (set_lines_[set] >= set_cap) {
+    i = nodes_[set].prev;  // the set's LRU line
+    victim = Evicted{nodes_[i].line, nodes_[i].state};
+    map_.erase(nodes_[i].line);
+    unlink(i);
+  } else {
+    if (free_.empty()) {
+      i = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.emplace_back();
+    } else {
+      i = free_.back();
+      free_.pop_back();
+    }
+    ++set_lines_[set];
   }
-  lru.push_front(Node{line, st});
+  nodes_[i].line = line;
+  nodes_[i].state = st;
+  link_mru(set, i);
   MapEntry& e = map_[line];
   e.state = st;
-  e.it = lru.begin();
+  e.node = i;
   return victim;
 }
 
@@ -88,7 +107,7 @@ bool CacheStorage::set_state(Addr line, LineState st) {
   MapEntry* e = map_.find(line);
   if (e == nullptr) return false;
   e->state = st;
-  if (capacity_ != 0) e->it->state = st;
+  if (capacity_ != 0) nodes_[e->node].state = st;
   return true;
 }
 
@@ -96,7 +115,11 @@ std::optional<LineState> CacheStorage::erase(Addr line) {
   MapEntry* e = map_.find(line);
   if (e == nullptr) return std::nullopt;
   const LineState st = e->state;
-  if (capacity_ != 0) sets_[set_index(line)].erase(e->it);
+  if (capacity_ != 0) {
+    unlink(e->node);
+    free_.push_back(e->node);
+    --set_lines_[set_index(line)];
+  }
   map_.erase(line);
   return st;
 }
@@ -119,9 +142,9 @@ std::vector<std::pair<Addr, LineState>> CacheStorage::dump_lru_order() const {
     std::sort(out.begin(), out.end());
     return out;
   }
-  for (const LruList& lru : sets_) {
-    for (auto it = lru.rbegin(); it != lru.rend(); ++it) {
-      out.emplace_back(it->line, it->state);
+  for (std::uint32_t s = 0; s < num_sets_; ++s) {
+    for (std::uint32_t i = nodes_[s].prev; i != s; i = nodes_[i].prev) {
+      out.emplace_back(nodes_[i].line, nodes_[i].state);
     }
   }
   return out;

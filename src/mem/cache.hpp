@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -78,24 +77,49 @@ class CacheStorage {
   [[nodiscard]] std::vector<std::pair<Addr, LineState>> dump_lru_order() const;
 
  private:
+  /// One node of a set's LRU list. The lists are circular and doubly linked
+  /// through indices into nodes_: node s < num_sets_ is set s's sentinel
+  /// (next: its MRU line, prev: its LRU line), and the others hold lines.
+  /// Every hit promotes its line, filtered hits included, so the links live
+  /// in one array: a promotion's four updates stay within the cache's own
+  /// few KB of nodes, and a map entry carries a 4-byte index.
   struct Node {
-    Addr line;
-    LineState state;
+    Addr line = 0;
+    std::uint32_t prev = 0;
+    std::uint32_t next = 0;
+    LineState state = LineState::Shared;
   };
-  using LruList = std::list<Node>;
 
   unsigned set_index(Addr line) const noexcept;
+  void unlink(std::uint32_t i) noexcept {
+    nodes_[nodes_[i].prev].next = nodes_[i].next;
+    nodes_[nodes_[i].next].prev = nodes_[i].prev;
+  }
+  void link_mru(std::uint32_t set, std::uint32_t i) noexcept {
+    nodes_[i].prev = set;
+    nodes_[i].next = nodes_[set].next;
+    nodes_[nodes_[set].next].prev = i;
+    nodes_[set].next = i;
+  }
+  /// Moves node `i` of set `set` to the set's MRU end.
+  void promote(std::uint32_t set, std::uint32_t i) noexcept {
+    if (nodes_[set].next == i) return;
+    unlink(i);
+    link_mru(set, i);
+  }
 
   std::size_t capacity_ = 0;     // total lines; 0 = infinite
   unsigned ways_ = 0;            // 0 = fully associative
   unsigned line_shift_ = 6;
   std::size_t num_sets_ = 1;
-  // One LRU list per set (fully associative => single set). For the infinite
-  // cache the list is unused; only the map holds state.
-  std::vector<LruList> sets_;
+  // Bounded caches only: the sentinels and line nodes, the unused line
+  // nodes, and the lines held per set (fully associative => one set).
+  std::vector<Node> nodes_;
+  std::vector<std::uint32_t> free_;
+  std::vector<std::uint32_t> set_lines_;
   struct MapEntry {
     LineState state = LineState::Shared;  // authoritative for infinite mode
-    LruList::iterator it{};               // valid only in bounded mode
+    std::uint32_t node = 0;               // valid only in bounded mode
   };
   FlatMap<MapEntry> map_;
 };

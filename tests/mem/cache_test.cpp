@@ -114,6 +114,68 @@ TEST(CacheStorage, CapacityNotMultipleOfWaysThrows) {
   EXPECT_THROW(CacheStorage(10, 4), std::invalid_argument);
 }
 
+TEST(CacheStorage, MoreThan2To32LinesThrows) {
+  // Rejected before any allocation: LRU links are 32-bit node indices.
+  EXPECT_THROW(CacheStorage(std::size_t{1} << 32, 0), std::invalid_argument);
+}
+
+// A seeded mix of inserts, touches, accesses, state changes and erases
+// (which free LRU nodes for reuse), checked against a naive model: per set,
+// the lines from LRU to MRU. Covers the fully associative and 2-way cases.
+TEST(CacheStorage, MatchesNaiveLruModelOverRandomOperations) {
+  for (const unsigned ways : {0u, 2u}) {
+    CacheStorage c(8, ways);
+    const std::size_t cap = ways == 0 ? 8 : ways;
+    std::vector<std::vector<std::pair<Addr, LineState>>> model(8 / cap);
+    std::uint64_t x = 12345;
+    for (int step = 0; step < 5000; ++step) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      const Addr line = L(static_cast<unsigned>((x >> 33) % 24));
+      auto& set = model[(line / 64) % model.size()];
+      auto it = std::find_if(set.begin(), set.end(),
+                             [&](const auto& e) { return e.first == line; });
+      const unsigned op = static_cast<unsigned>(x >> 61);  // 0..7
+      if (it == set.end()) {
+        if (op < 4) {
+          const auto victim = c.insert(line, LineState::Shared);
+          if (set.size() == cap) {
+            ASSERT_TRUE(victim.has_value());
+            EXPECT_EQ(victim->line, set.front().first);
+            set.erase(set.begin());
+          } else {
+            EXPECT_FALSE(victim.has_value());
+          }
+          set.emplace_back(line, LineState::Shared);
+        } else {
+          EXPECT_FALSE(c.access(line).has_value());
+        }
+        continue;
+      }
+      if (op < 2) {
+        EXPECT_EQ(c.erase(line), it->second);
+        set.erase(it);
+        continue;
+      }
+      if (op < 4) {
+        c.set_state(line, LineState::Exclusive);  // no promotion
+        it->second = LineState::Exclusive;
+        continue;
+      }
+      if (op < 6) {
+        c.touch(line);
+      } else {
+        EXPECT_EQ(c.access(line), it->second);
+      }
+      std::rotate(it, it + 1, set.end());  // to the MRU end
+    }
+    std::vector<std::pair<Addr, LineState>> want;
+    for (const auto& set : model) {
+      want.insert(want.end(), set.begin(), set.end());
+    }
+    EXPECT_EQ(c.dump_lru_order(), want) << "ways " << ways;
+  }
+}
+
 TEST(CacheStorage, ResidentLines) {
   CacheStorage c(4, 0);
   c.insert(L(3), LineState::Shared);
