@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -357,23 +356,9 @@ BenchOptions BenchOptions::parse_checked(int argc, char** argv) {
       o.scale = ProblemScale::Paper;
     } else if (std::strcmp(arg, "--test") == 0) {
       o.scale = ProblemScale::Test;
-    } else if (std::strcmp(arg, "--procs") == 0) {
-      if (i + 1 >= argc) throw ConfigError("--procs requires a value");
-      const char* val = argv[++i];
-      errno = 0;
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(val, &end, 10);
-      if (end == val || *end != '\0' || errno == ERANGE) {
-        throw ConfigError(std::string("--procs: not a number: '") + val + "'");
-      }
-      if (n == 0 || n > 4096) {
-        throw ConfigError(std::string("--procs: out of range (1..4096): '") +
-                          val + "'");
-      }
-      o.num_procs = static_cast<unsigned>(n);
     } else {
       throw ConfigError(std::string("unknown flag: '") + arg +
-                        "' (expected --paper, --test, or --procs N)");
+                        "' (expected --paper or --test)");
     }
   }
   return o;
@@ -383,7 +368,7 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
   try {
     return parse_checked(argc, argv);
   } catch (const ConfigError& e) {
-    std::fprintf(stderr, "%s\nusage: %s [--paper | --test] [--procs N]\n",
+    std::fprintf(stderr, "%s\nusage: %s [--paper | --test]\n",
                  e.what(), argc > 0 ? argv[0] : "bench");
     std::exit(2);
   }

@@ -130,14 +130,13 @@ std::vector<SimResult> sweep_clusters(
     std::size_t cache_bytes_per_proc,
     const std::vector<unsigned>& cluster_sizes = {1, 2, 4, 8});
 
-/// Standard bench command line: `--paper`/`--test` switch problem sizes,
-/// `--procs N` overrides the processor count.
+/// Standard bench command line: `--paper`/`--test` switch problem sizes.
+/// Every bench runs the 64-processor paper machine.
 struct BenchOptions {
   ProblemScale scale = ProblemScale::Default;
-  unsigned num_procs = 64;
 
   /// Parses, printing a usage message and exiting with status 2 on bad
-  /// input (unknown flags, non-numeric/zero/out-of-range --procs).
+  /// input (any other argument).
   static BenchOptions parse(int argc, char** argv);
 
   /// Like parse() but throws ConfigError instead of exiting (testable core).

@@ -90,50 +90,30 @@ TEST(Experiment, BenchOptionsParse) {
   const char* argv1[] = {"bench", "--paper"};
   auto o1 = BenchOptions::parse(2, const_cast<char**>(argv1));
   EXPECT_EQ(o1.scale, ProblemScale::Paper);
-  const char* argv2[] = {"bench", "--test", "--procs", "16"};
-  auto o2 = BenchOptions::parse(4, const_cast<char**>(argv2));
+  const char* argv2[] = {"bench", "--test"};
+  auto o2 = BenchOptions::parse(2, const_cast<char**>(argv2));
   EXPECT_EQ(o2.scale, ProblemScale::Test);
-  EXPECT_EQ(o2.num_procs, 16u);
   auto o3 = BenchOptions::parse(1, nullptr);
   EXPECT_EQ(o3.scale, ProblemScale::Default);
 }
 
-TEST(Experiment, BenchOptionsRejectBadProcs) {
-  const char* zero[] = {"bench", "--procs", "0"};
-  EXPECT_THROW(BenchOptions::parse_checked(3, const_cast<char**>(zero)),
-               ConfigError);
-  const char* negative[] = {"bench", "--procs", "-4"};
-  EXPECT_THROW(BenchOptions::parse_checked(3, const_cast<char**>(negative)),
-               ConfigError);
-  const char* text[] = {"bench", "--procs", "abc"};
-  EXPECT_THROW(BenchOptions::parse_checked(3, const_cast<char**>(text)),
-               ConfigError);
-  const char* trailing[] = {"bench", "--procs", "16x"};
-  EXPECT_THROW(BenchOptions::parse_checked(3, const_cast<char**>(trailing)),
-               ConfigError);
-  const char* missing[] = {"bench", "--procs"};
-  EXPECT_THROW(BenchOptions::parse_checked(2, const_cast<char**>(missing)),
-               ConfigError);
-  const char* huge[] = {"bench", "--procs", "999999"};
-  EXPECT_THROW(BenchOptions::parse_checked(3, const_cast<char**>(huge)),
-               ConfigError);
-}
-
 TEST(Experiment, BenchOptionsRejectUnknownFlag) {
-  const char* argv[] = {"bench", "--bogus"};
-  try {
-    BenchOptions::parse_checked(2, const_cast<char**>(argv));
-    FAIL() << "expected ConfigError";
-  } catch (const ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("--bogus"), std::string::npos);
+  // --procs is gone: every bench runs the 64-processor paper machine.
+  for (const char* flag : {"--bogus", "--procs"}) {
+    const char* argv[] = {"bench", flag, "16"};
+    try {
+      BenchOptions::parse_checked(3, const_cast<char**>(argv));
+      FAIL() << "expected ConfigError for " << flag;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos);
+    }
   }
 }
 
 TEST(Experiment, BenchOptionsParseCheckedAcceptsValidInput) {
-  const char* argv[] = {"bench", "--paper", "--procs", "16"};
-  const auto o = BenchOptions::parse_checked(4, const_cast<char**>(argv));
+  const char* argv[] = {"bench", "--paper"};
+  const auto o = BenchOptions::parse_checked(2, const_cast<char**>(argv));
   EXPECT_EQ(o.scale, ProblemScale::Paper);
-  EXPECT_EQ(o.num_procs, 16u);
 }
 
 TEST(Experiment, CsvHasHeaderAndRows) {
