@@ -30,10 +30,9 @@ OceanConfig OceanConfig::preset(ProblemScale s) {
   return c;
 }
 
-OceanConfig OceanConfig::small_problem() {
-  OceanConfig c;
-  c.n = 66;
-  c.iters = 3;
+OceanConfig OceanConfig::small_problem(ProblemScale s) {
+  OceanConfig c = preset(s);
+  c.n = (c.n - 2) / 2 + 2;
   return c;
 }
 

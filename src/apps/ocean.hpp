@@ -35,8 +35,9 @@ struct OceanConfig {
   std::uint64_t seed = 0x0cea'0cea;
 
   static OceanConfig preset(ProblemScale s);
-  /// The Figure 3 small problem (66x66).
-  static OceanConfig small_problem();
+  /// The Figure 3 small problem: the scale's preset with its interior
+  /// halved (66x66 at Default and Paper, 18x18 at Test).
+  static OceanConfig small_problem(ProblemScale s);
 };
 
 class OceanApp final : public Program {

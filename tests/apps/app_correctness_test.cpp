@@ -182,6 +182,16 @@ TEST(AppOcean, ResidualFalls) {
   EXPECT_LT(app.final_residual(), 0.9 * app.initial_residual());
 }
 
+TEST(AppOcean, SmallProblemHalvesTheInteriorAndRunsOn64Processors) {
+  EXPECT_EQ(OceanConfig::small_problem(ProblemScale::Default).n, 66u);
+  const OceanConfig c = OceanConfig::small_problem(ProblemScale::Test);
+  EXPECT_EQ(c.n, 18u);
+  // fig3_ocean_small --test: 16 interior rows over an 8x8 processor grid.
+  OceanApp app(c);
+  EXPECT_NO_THROW(simulate(app, mc(64, 8)));  // verify() runs inside
+  EXPECT_LT(app.final_residual(), app.initial_residual());
+}
+
 TEST(AppOcean, RejectsBadMultigridDepth) {
   OceanConfig c;
   c.n = 34;  // interior 32
@@ -277,7 +287,7 @@ TEST(AppScales, PaperPresetsMatchTable2) {
   EXPECT_EQ(OceanConfig::preset(ProblemScale::Paper).n, 130u);
   EXPECT_EQ(RadixConfig::preset(ProblemScale::Paper).n, 262144u);
   EXPECT_EQ(RadixConfig::preset(ProblemScale::Paper).radix, 256u);
-  EXPECT_EQ(OceanConfig::small_problem().n, 66u);
+  EXPECT_EQ(OceanConfig::small_problem(ProblemScale::Paper).n, 66u);
 }
 
 }  // namespace
